@@ -69,6 +69,14 @@ def make_channel(
     """
     Hbar = np.asarray(physical_channel, dtype=complex)
     C = np.asarray(noise_covariance, dtype=complex)
+    if Hbar.ndim != 2:
+        raise ValueError(f"expected an (N_r, N_t) channel matrix, got shape {Hbar.shape}")
+    n_rx = Hbar.shape[0]
+    if C.shape != (n_rx, n_rx):
+        raise ValueError(
+            f"noise covariance must be ({n_rx}, {n_rx}) for a channel of shape "
+            f"{Hbar.shape}, got shape {C.shape}"
+        )
     if precoder is None:
         precoder = default_precoder(Hbar.shape[1])
     W = np.asarray(precoder, dtype=complex)

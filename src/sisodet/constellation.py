@@ -10,6 +10,7 @@ downstream (per-axis priors, slicing, detection) relies on this split.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +29,48 @@ class PamAxis:
         labels: ``(L, q/2)`` array of bits; ``labels[k]`` is the
             binary-reflected Gray label of ``points[k]`` (MSB first), so
             adjacent amplitudes differ in exactly one bit.
+
+    The cached properties are per-axis tables derived once from ``points``
+    and ``labels``; they live and die with the axis.
     """
 
     L: int
     points: np.ndarray
     spacing: float
     labels: np.ndarray
+
+    @cached_property
+    def bit_weights(self) -> np.ndarray:
+        """``labels`` as floats, ready to weight bit LLRs."""
+        return _frozen(self.labels.astype(float))
+
+    @cached_property
+    def pair_midpoints(self) -> np.ndarray:
+        """``(L, L)`` half-sums ``(x[k] + x[j]) / 2`` of every amplitude pair."""
+        x = self.points
+        return _frozen((x[:, None] + x[None, :]) / 2.0)
+
+    @cached_property
+    def pair_gaps(self) -> np.ndarray:
+        """``(L, L)`` doubled separations ``2 (x[k] - x[j])``, diagonal 1.
+
+        The unit diagonal keeps a division by this table finite; diagonal
+        entries never take part in a threshold.
+        """
+        x = self.points
+        gaps = 2.0 * (x[:, None] - x[None, :])
+        np.fill_diagonal(gaps, 1.0)
+        return _frozen(gaps)
+
+    @cached_property
+    def below(self) -> np.ndarray:
+        """``(L, L)`` mask of pairs (k, j) with ``j > k``: x[j] below x[k]."""
+        return _frozen(np.triu(np.ones((self.L, self.L), dtype=bool), 1))
+
+    @cached_property
+    def above(self) -> np.ndarray:
+        """``(L, L)`` mask of pairs (k, j) with ``j < k``: x[j] above x[k]."""
+        return _frozen(np.tril(np.ones((self.L, self.L), dtype=bool), -1))
 
 
 @dataclass(frozen=True)
@@ -52,6 +89,21 @@ class Constellation:
     imag_axis: PamAxis
     symbols: np.ndarray
     labels: np.ndarray
+
+    @cached_property
+    def bit_weights(self) -> np.ndarray:
+        """``labels`` as floats, ready to weight bit LLRs."""
+        return _frozen(self.labels.astype(float))
+
+    @cached_property
+    def bit_mask(self) -> np.ndarray:
+        """``labels`` as booleans, selecting the symbols with each bit set."""
+        return _frozen(self.labels.astype(bool))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def require_valid_order(M: int) -> None:

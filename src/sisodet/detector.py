@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation
-from .priors import AprioriLLRs, axis_log_priors
+from .priors import AprioriLLRs, axis_log_priors, check_llr_shape
 from .slicer import build_regions, slice_statistic
 
 
@@ -71,8 +71,8 @@ def candidate_metric(
     """
     s_enum = c.symbols[enum_index]
     s_sliced = c.symbols[sliced_index]
-    b_enum = c.labels[enum_index].astype(float)
-    b_sliced = c.labels[sliced_index].astype(float)
+    b_enum = c.bit_weights[enum_index]
+    b_sliced = c.bit_weights[sliced_index]
     if layer == 1:
         prior = b_enum @ llrs.values[0] + b_sliced @ llrs.values[1]
         r = obs.y - obs.h1 * s_enum - obs.h2 * s_sliced
@@ -109,10 +109,11 @@ def detect(
     labels.  The result matches the exhaustive pairwise max-log search.
     """
     for arr in (obs.y, obs.h1, obs.h2):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("whitened observation contains non-finite values")
-    if not np.all(np.isfinite(llrs.values)):
+    if not np.isfinite(llrs.values).all():
         raise ValueError("a-priori LLRs contain non-finite values")
+    check_llr_shape(llrs, c)
 
     pam_r, pam_i = c.real_axis, c.imag_axis
     reg1_re = build_regions(pam_r, axis_log_priors(llrs, 1, "real", pam_r), obs.gain1)
@@ -147,23 +148,21 @@ def detect(
     partner_for_1 = pam_r.points[a2] + 1j * pam_i.points[b2]
     partner_for_2 = pam_r.points[a1] + 1j * pam_i.points[b1]
     partner_prior_2 = (
-        pam_r.labels[a2].astype(float) @ l2[:half_q]
-        + pam_i.labels[b2].astype(float) @ l2[half_q:]
+        pam_r.bit_weights[a2] @ l2[:half_q] + pam_i.bit_weights[b2] @ l2[half_q:]
     )
     partner_prior_1 = (
-        pam_r.labels[a1].astype(float) @ l1[:half_q]
-        + pam_i.labels[b1].astype(float) @ l1[half_q:]
+        pam_r.bit_weights[a1] @ l1[:half_q] + pam_i.bit_weights[b1] @ l1[half_q:]
     )
 
-    enum_prior_1 = c.labels.astype(float) @ l1
-    enum_prior_2 = c.labels.astype(float) @ l2
+    enum_prior_1 = c.bit_weights @ l1
+    enum_prior_2 = c.bit_weights @ l2
 
     r1 = obs.y[None, :] - syms[:, None] * obs.h1[None, :] - partner_for_1[:, None] * obs.h2[None, :]
     r2 = obs.y[None, :] - partner_for_2[:, None] * obs.h1[None, :] - syms[:, None] * obs.h2[None, :]
     eta1 = enum_prior_1 + partner_prior_2 - np.sum(np.abs(r1) ** 2, axis=1)
     eta2 = partner_prior_1 + enum_prior_2 - np.sum(np.abs(r2) ** 2, axis=1)
 
-    out = np.vstack([llrs_from_metrics(eta1, c.labels), llrs_from_metrics(eta2, c.labels)])
+    out = np.vstack([llrs_from_metrics(eta1, c.bit_mask), llrs_from_metrics(eta2, c.bit_mask)])
     return DetectionResult(
         llrs=out,
         candidate_metric_count=2 * c.M,

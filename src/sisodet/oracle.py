@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 
 from .channel import WhitenedObservation
 from .constellation import Constellation
-from .priors import AprioriLLRs
+from .priors import AprioriLLRs, check_llr_shape
 
 
 def pair_metric_table(
@@ -23,8 +23,9 @@ def pair_metric_table(
 
     Entry [i, j] pairs layer-1 symbol i with layer-2 symbol j.
     """
-    prior1 = c.labels.astype(float) @ llrs.values[0]
-    prior2 = c.labels.astype(float) @ llrs.values[1]
+    check_llr_shape(llrs, c)
+    prior1 = c.bit_weights @ llrs.values[0]
+    prior2 = c.bit_weights @ llrs.values[1]
     r = (
         obs.y[None, None, :]
         - c.symbols[:, None, None] * obs.h1[None, None, :]
@@ -48,7 +49,7 @@ def brute_force_maxlog(
     table = pair_metric_table(obs, c, llrs)
     best_given_1 = table.max(axis=1)
     best_given_2 = table.max(axis=0)
-    mask = c.labels.astype(bool)
+    mask = c.bit_mask
     out = np.empty((2, c.q))
     for row, best in enumerate((best_given_1, best_given_2)):
         stacked = best[:, None]
@@ -75,7 +76,7 @@ def log_map(
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     table = temperature * pair_metric_table(obs, c, llrs)
-    mask = c.labels.astype(bool)
+    mask = c.bit_mask
     out = np.empty((2, c.q))
     for n in range(c.q):
         out[0, n] = (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import PamAxis
+from .constellation import Constellation, PamAxis
 
 L_MAX_DEFAULT = 50.0
 
@@ -50,6 +50,15 @@ def clamp(values, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
     return AprioriLLRs(values=arr, l_max=float(l_max))
 
 
+def check_llr_shape(llrs: AprioriLLRs, c: Constellation) -> None:
+    """Raise ValueError unless the LLRs carry one (2, q) row per layer for c."""
+    if llrs.values.shape != (2, c.q):
+        raise ValueError(
+            f"expected a-priori LLRs of shape (2, {c.q}) for {c.M}-QAM, "
+            f"got {llrs.values.shape}"
+        )
+
+
 def uniform_priors(q: int, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
     """All-zero LLRs: no decoder information."""
     return clamp(np.zeros((2, q)), l_max)
@@ -70,7 +79,7 @@ def axis_log_priors(
     row = llrs.values[layer - 1]
     half_q = row.size // 2
     bit_slice = row[:half_q] if axis == "real" else row[half_q:]
-    logp = pam.labels.astype(float) @ bit_slice
+    logp = pam.bit_weights @ bit_slice
     logp.flags.writeable = False
     return AxisLogPriors(layer=layer, axis=axis, logp=logp)
 

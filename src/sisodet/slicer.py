@@ -7,13 +7,21 @@ interval (possibly empty).  With no prior information the thresholds are
 the midpoints between neighbors; priors shift each threshold toward the
 less likely amplitude.
 
-A threshold shift can be large enough that an amplitude's interval
-vanishes entirely: whenever the binding lower threshold of ``x[k]`` comes
-from a non-adjacent amplitude ``x[j]``, everything strictly between k and
-j can never win, and the region builder flags those amplitudes and walks
-past them, leaving the thresholds among skipped amplitudes unevaluated.
-The number of pairwise thresholds actually evaluated is reported so
-detection cost can be audited.
+All crossovers of one table come out of one ``(L, L)`` matrix, built
+from per-axis pair tables the ``PamAxis`` holds.  Amplitudes are stored
+in descending order, so in row k the columns ``j > k`` are the smaller
+amplitudes and ``j < k`` the larger ones.  Amplitude k's interval is
+bounded below by its largest crossover with a smaller amplitude and above
+by its smallest crossover with a larger one.  When that lower bound comes
+from a non-adjacent amplitude ``j*``, every amplitude strictly between k
+and ``j*`` can never win: the surviving amplitudes are the chain
+``0 -> j*(0) -> j*(j*(0)) -> ...``, and the others are empty.  When
+several smaller amplitudes tie for the largest crossover, ``j*`` is the
+first of them, the one nearest to k.
+
+The reported threshold count is the number of distinct pairs a walk
+along that chain needs: every pair with at least one surviving member,
+``L(L-1)/2 - E(E-1)/2`` for ``E`` empty amplitudes.
 """
 
 from __future__ import annotations
@@ -31,13 +39,14 @@ class DecisionRegions:
     """Interval table for one axis: amplitude k wins on [lower_k, upper_k).
 
     Amplitudes are indexed as in PamAxis (descending).  The largest
-    amplitude has upper = +inf, the smallest lower = -inf.  Skipped
-    amplitudes are flagged empty and carry NaN bounds.  A decision
-    statistic equal to a shared threshold belongs to the higher-amplitude
-    side, matching the lowest-index tie-break of the score argmax.
+    amplitude has upper = +inf, the smallest lower = -inf.  Empty
+    amplitudes carry NaN bounds.  A decision statistic equal to a shared
+    threshold belongs to the higher-amplitude side, matching the
+    lowest-index tie-break of the score argmax.
 
-    ``boundary_count`` is the number of distinct pairwise thresholds
-    evaluated while building the table (at most L(L-1)/2).
+    ``boundary_count`` is the number of distinct pairwise thresholds the
+    table depends on: pairs with at least one non-empty amplitude, at most
+    L(L-1)/2.
     """
 
     lower: np.ndarray
@@ -45,13 +54,19 @@ class DecisionRegions:
     empty: np.ndarray
     gain: float
     boundary_count: int
-    _owners: np.ndarray = field(repr=False, default=None)
-    _ascending_bounds: np.ndarray = field(repr=False, default=None)
+    _owners: np.ndarray = field(init=False, repr=False)
+    _ascending_bounds: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Surviving amplitudes in ascending order, and the lower thresholds
+        # of all but the smallest (-inf) of them, ready for searchsorted.
+        self._owners = (~self.empty).nonzero()[0][::-1]
+        self._ascending_bounds = self.lower[self._owners[1:]]
 
 
 def _logp_array(logp) -> np.ndarray:
     arr = logp.logp if isinstance(logp, AxisLogPriors) else np.asarray(logp, float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("axis log-priors must be finite")
     return arr
 
@@ -75,17 +90,20 @@ def pairwise_boundary(pam: PamAxis, k: int, j: int, logp, gain: float) -> float:
 
 
 def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
-    """Build the interval table for one axis, skipping empty regions.
+    """Build the interval table for one axis, flagging empty regions.
 
-    Walks the amplitudes from the largest down.  At each surviving
-    amplitude the lower threshold is the max crossover with all smaller
-    amplitudes and the upper threshold the min crossover with all larger
-    ones (already-skipped amplitudes included; they can never tighten a
-    survivor's interval).  When the binding lower crossover comes from a
-    non-adjacent amplitude, the amplitudes in between are flagged empty
-    and the walk jumps past them.  Crossovers are cached so each pair is
-    evaluated at most once; pairs between two skipped amplitudes are
-    never evaluated at all.
+    Evaluates the ``(L, L)`` crossover matrix in one pass, with the same
+    floating expression as ``pairwise_boundary``, so every threshold is
+    bit-identical to a pair-by-pair evaluation.  For each row k,
+    ``j*(k)`` is the first column ``j > k`` holding the row's largest
+    crossover, so an exact tie goes to the tied partner nearest to k
+    (the higher amplitude).  The surviving amplitudes
+    are the chain from amplitude 0 through ``j*``; a survivor's lower
+    bound is its row maximum over ``j > k`` and its upper bound its row
+    minimum over ``j < k`` (empty amplitudes included; they never tighten
+    a survivor's interval).  ``boundary_count`` is ``L(L-1)/2 - E(E-1)/2``
+    for ``E`` empty amplitudes: the crossovers between two empty
+    amplitudes are the only ones no bound depends on.
     """
     if gain <= 0:
         raise ValueError(f"gain must be positive, got {gain}")
@@ -96,63 +114,27 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     if lp.size != L:
         raise ValueError(f"expected {L} log-priors, got {lp.size}")
 
-    x = [float(v) for v in pam.points]
-    p = [float(v) for v in lp]
-    gain = float(gain)
-    cache: dict[tuple[int, int], float] = {}
-    count = 0
+    d = pam.pair_midpoints - np.subtract.outer(lp, lp) / (pam.pair_gaps * float(gain))
+    below = np.where(pam.below, d, -np.inf)
+    lower = below.max(axis=1)  # -inf on the last row
+    upper = np.minimum.reduce(d, axis=1, where=pam.above, initial=np.inf)  # +inf on row 0
+    j_star = below.argmax(axis=1).tolist()
 
-    def crossover(k: int, j: int) -> float:
-        # Same floating expression as pairwise_boundary, cached per pair.
-        nonlocal count
-        key = (k, j) if k < j else (j, k)
-        d = cache.get(key)
-        if d is None:
-            d = (x[k] + x[j]) / 2.0 - (p[k] - p[j]) / (2.0 * (x[k] - x[j]) * gain)
-            cache[key] = d
-            count += 1
-        return d
-
-    lower = np.full(L, np.nan)
-    upper = np.full(L, np.nan)
-    empty = np.zeros(L, dtype=bool)
-
-    k = 0
-    while k <= L - 1:
-        j_star = k + 1
-        if k < L - 1:
-            best = crossover(k, k + 1)
-            for j in range(k + 2, L):
-                d = crossover(k, j)
-                if d > best:
-                    best = d
-                    j_star = j
-            lower[k] = best
-        else:
-            lower[k] = -np.inf
-        if k > 0:
-            upper[k] = min(crossover(k, j) for j in range(k))
-        else:
-            upper[k] = np.inf
-        if k < L - 1 and j_star > k + 1:
-            empty[k + 1 : j_star] = True
-            k = j_star
-        else:
-            k += 1
-
-    owners = np.flatnonzero(~empty)
-    regions = DecisionRegions(
+    survivors = [0]
+    while survivors[-1] < L - 1:
+        survivors.append(j_star[survivors[-1]])
+    empty = np.ones(L, dtype=bool)
+    empty[survivors] = False
+    E = L - len(survivors)
+    if E:
+        lower[empty] = upper[empty] = np.nan
+    return DecisionRegions(
         lower=lower,
         upper=upper,
         empty=empty,
         gain=float(gain),
-        boundary_count=count,
+        boundary_count=(L * (L - 1) - E * (E - 1)) // 2,
     )
-    regions._owners = owners
-    # Lower thresholds of the surviving amplitudes, smallest (-inf) dropped,
-    # ascending, ready for searchsorted.
-    regions._ascending_bounds = lower[owners[:-1]][::-1].copy()
-    return regions
 
 
 def slice_statistic(regions: DecisionRegions, z):
@@ -161,10 +143,7 @@ def slice_statistic(regions: DecisionRegions, z):
     Equivalent to the score argmax over all amplitudes; a z exactly on a
     shared threshold goes to the higher-amplitude side.
     """
-    bounds = regions._ascending_bounds
-    owners = regions._owners
-    cell = bounds.size - np.searchsorted(bounds, z, side="right")
-    result = owners[cell]
+    result = regions._owners[np.searchsorted(regions._ascending_bounds, z, side="right")]
     return int(result) if np.ndim(z) == 0 else result
 
 

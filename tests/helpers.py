@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from sisodet import (
+    DecisionRegions,
     bits_to_symbol,
     generate_channel,
     generate_noise,
@@ -14,6 +15,7 @@ from sisodet import (
     whiten,
 )
 from sisodet.simcli import noise_covariance, sigma2_from_snr_db
+from sisodet.slicer import _logp_array
 
 
 def random_hermitian_pd(rng: np.random.Generator, n: int, ridge: float = 0.1):
@@ -42,3 +44,63 @@ def random_tone(
     obs = whiten(y, ch)
     llrs = genie_priors(rng, bits, mu)
     return obs, llrs, bits, ch, y, C
+
+
+def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
+    """Pair-by-pair region build: the reference for ``build_regions``.
+
+    Walks the amplitudes from the largest down.  At each surviving
+    amplitude the lower threshold is the max crossover with all smaller
+    amplitudes (first maximum on ties, by the strict ``>``) and the upper
+    threshold the min crossover with all larger ones.  When the binding
+    lower crossover comes from a non-adjacent amplitude, the amplitudes in
+    between are flagged empty and the walk jumps past them.  Crossovers
+    are cached so each pair is evaluated at most once, and
+    ``boundary_count`` counts the evaluations.
+    """
+    if gain <= 0:
+        raise ValueError(f"gain must be positive, got {gain}")
+    lp = _logp_array(logp)
+    L = pam.L
+    if lp.size != L:
+        raise ValueError(f"expected {L} log-priors, got {lp.size}")
+
+    x = [float(v) for v in pam.points]
+    p = [float(v) for v in lp]
+    gain = float(gain)
+    cache: dict[tuple[int, int], float] = {}
+
+    def crossover(k: int, j: int) -> float:
+        # Same floating expression as pairwise_boundary, cached per pair.
+        key = (k, j) if k < j else (j, k)
+        if key not in cache:
+            cache[key] = (x[k] + x[j]) / 2.0 - (p[k] - p[j]) / (2.0 * (x[k] - x[j]) * gain)
+        return cache[key]
+
+    lower = np.full(L, np.nan)
+    upper = np.full(L, np.nan)
+    empty = np.zeros(L, dtype=bool)
+
+    k = 0
+    while k <= L - 1:
+        j_star = k + 1
+        if k < L - 1:
+            best = crossover(k, k + 1)
+            for j in range(k + 2, L):
+                d = crossover(k, j)
+                if d > best:
+                    best = d
+                    j_star = j
+            lower[k] = best
+        else:
+            lower[k] = -np.inf
+        upper[k] = min(crossover(k, j) for j in range(k)) if k > 0 else np.inf
+        if k < L - 1 and j_star > k + 1:
+            empty[k + 1 : j_star] = True
+            k = j_star
+        else:
+            k += 1
+
+    return DecisionRegions(
+        lower=lower, upper=upper, empty=empty, gain=gain, boundary_count=len(cache)
+    )

@@ -153,3 +153,8 @@ class TestMakeChannel:
         C = random_hermitian_pd(rng, 2)
         ch = make_channel(generate_channel(rng, 2, 2), C)
         np.testing.assert_allclose(ch.noise_precision @ C, np.eye(2), atol=1e-10)
+
+    def test_covariance_shape_must_match_receive_antennas(self):
+        """A 3x3 covariance with a two-antenna channel names both shapes."""
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 3\)"):
+            make_channel(np.eye(2, dtype=complex), np.eye(3))

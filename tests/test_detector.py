@@ -1,7 +1,13 @@
 """Tests for the linear-complexity detector against direct computation."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+
+from sisodet import detector
 
 from sisodet import (
     brute_force_maxlog,
@@ -19,7 +25,7 @@ from sisodet import (
     whiten,
 )
 from sisodet.channel import WhitenedObservation
-from helpers import random_tone
+from helpers import build_regions_walk, random_tone
 
 
 def _noiseless_obs(rng, const, n_rx=2):
@@ -234,3 +240,74 @@ class TestDetect:
         )
         with pytest.raises(ValueError):
             detect(bad, const, llrs)
+
+    def test_llr_width_mismatch_named(self):
+        """LLRs for another order fail with the expected (2, q) shape named."""
+        rng = np.random.default_rng(56)
+        const = build_constellation(64)
+        obs, _, _, _, _, _ = random_tone(rng, const)
+        with pytest.raises(ValueError, match=r"\(2, 6\).*\(2, 4\)"):
+            detect(obs, const, uniform_priors(4))
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_counts_match_walk_reference(self, M, monkeypatch):
+        """Per tone, counts equal those of detect over the pair-by-pair walk.
+
+        The LLRs match that reference bit for bit, since the tables do, and
+        the exhaustive search within the 1e-6 gate.
+        """
+        const = build_constellation(M)
+        tones = []
+        for t in range(96):
+            rng = np.random.default_rng([57, M, t])
+            mu = (0.0, 4.0, 16.0, 200.0)[t % 4]  # 200 drives LLRs into the clamp
+            snr = (0.0, 10.0, 20.0)[(t // 4) % 3]
+            obs, llrs, _, _, _, _ = random_tone(rng, const, snr_db=snr, rho=0.5, mu=mu)
+            tones.append((obs, llrs, detect(obs, const, llrs)))
+
+        monkeypatch.setattr(detector, "build_regions", build_regions_walk)
+        pruned = 0
+        for obs, llrs, fast in tones:
+            walk = detect(obs, const, llrs)
+            assert fast.candidate_metric_count == walk.candidate_metric_count == 2 * M
+            assert fast.boundary_count == walk.boundary_count
+            np.testing.assert_array_equal(fast.llrs, walk.llrs)
+            reference = brute_force_maxlog(obs, const, llrs)
+            assert np.max(np.abs(fast.llrs - reference)) <= 1e-6
+            pruned += fast.boundary_count < 2 * (M - const.real_axis.L)
+        if M > 4:
+            assert pruned > 0  # feedback emptied amplitudes on some tones
+
+    def test_per_constellation_tables_die_with_it(self):
+        """200 fresh constellations, each detected on, retain no memory.
+
+        Tables derived once per constellation must be owned by it, not by a
+        process-wide cache, since the CLI builds a constellation per call.
+        """
+        rng = np.random.default_rng(58)
+        obs, llrs, _, _, _, _ = random_tone(rng, build_constellation(64), mu=4.0)
+        tracemalloc.start()
+        try:
+            for i in range(200):
+                detect(obs, build_constellation(64), llrs)
+                if i == 19:
+                    gc.collect()
+                    settled = tracemalloc.get_traced_memory()[0]
+            gc.collect()
+            final = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # one leaked constellation's tables alone are about 5 kB
+        assert final - settled < 64 * 1024
+
+        # A cache keyed by id() stays flat above when ids are recycled, so
+        # also check that the tables themselves are freed.
+        const = build_constellation(64)
+        detect(obs, const, llrs)
+        axis = const.real_axis
+        tables = (const.bit_weights, const.bit_mask, axis.bit_weights,
+                  axis.pair_midpoints, axis.pair_gaps, axis.below, axis.above)
+        refs = [weakref.ref(table) for table in tables]
+        del const, axis, tables
+        gc.collect()
+        assert all(ref() is None for ref in refs)

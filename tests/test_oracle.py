@@ -39,6 +39,14 @@ class TestBruteForce:
         _, count = brute_force_maxlog(obs, const, llrs, with_count=True)
         assert count == 256
 
+    def test_llr_width_mismatch_named(self):
+        """LLRs for another order fail with the expected (2, q) shape named."""
+        rng = np.random.default_rng(62)
+        const = build_constellation(64)
+        obs, _, _, _, _, _ = random_tone(rng, const)
+        with pytest.raises(ValueError, match=r"\(2, 6\).*\(2, 4\)"):
+            brute_force_maxlog(obs, const, uniform_priors(4))
+
     def test_enumeration_order_invariant(self):
         """The result is a pure max, so recomputation is bit-identical."""
         rng = np.random.default_rng(62)

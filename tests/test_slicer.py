@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from sisodet import (
     argmax_slice_oracle,
+    axis_log_priors,
     build_constellation,
     build_regions,
+    clamp,
     pairwise_boundary,
     slice_statistic,
 )
+from helpers import build_regions_walk
 
 finite_logp = st.floats(min_value=-60.0, max_value=60.0)
 
@@ -267,3 +270,76 @@ class TestRegionInvariants:
                 assert not before.empty[m]  # nobody grows from empty
                 assert after.lower[m] >= before.lower[m] - 1e-12
                 assert after.upper[m] <= before.upper[m] + 1e-12
+
+
+class TestWalkReference:
+    """``build_regions`` against the pair-by-pair walk, table by table."""
+
+    TABLES_PER_ORDER = 7500
+
+    def _log_priors_and_gain(self, rng, const, i):
+        pam = const.real_axis
+        log_gain = rng.uniform(-3, 4)
+        kind = i % 4
+        if kind == 0:
+            # integer log-priors in units of gain * spacing^2: many
+            # crossovers of one row coincide exactly
+            gain = 2.0 ** rng.integers(-2, 3) / pam.spacing**2
+            return rng.integers(-6, 7, pam.L).astype(float), gain
+        if kind == 1:
+            return np.zeros(pam.L), 10.0**log_gain
+        if kind == 2:
+            # feedback far beyond the clamp: many LLRs sit at +-l_max
+            llrs = clamp(rng.normal(0, 150, (2, const.q)))
+            layer = int(rng.integers(1, 3))
+            return axis_log_priors(llrs, layer, "real", pam).logp, 10.0**log_gain
+        return rng.uniform(-50, 50, pam.L), 10.0**log_gain
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_bit_identical_to_walk(self, M):
+        const = build_constellation(M)
+        pam = const.real_axis
+        L = pam.L
+        rng = np.random.default_rng([35, M])
+        tied_rows = pruned = 0
+        for i in range(self.TABLES_PER_ORDER):
+            lp, gain = self._log_priors_and_gain(rng, const, i)
+            fast = build_regions(pam, lp, gain)
+            walk = build_regions_walk(pam, lp, gain)
+
+            for name in ("lower", "upper", "empty"):
+                assert np.array_equal(
+                    getattr(fast, name), getattr(walk, name), equal_nan=True
+                ), (name, lp, gain)
+            assert fast.boundary_count == walk.boundary_count
+            E = int(walk.empty.sum())
+            assert fast.boundary_count == L * (L - 1) // 2 - E * (E - 1) // 2
+
+            # statistics exactly on every threshold, and around them
+            bounds = walk.lower[np.isfinite(walk.lower)]
+            z = np.concatenate(
+                [bounds, np.nextafter(bounds, np.inf), pam.points, rng.normal(0, 1, 8)]
+            )
+            assert np.array_equal(slice_statistic(fast, z), slice_statistic(walk, z))
+
+            pruned += E > 0
+            tied_rows += self._tied_survivor_rows(pam, lp, gain, walk)
+        if L > 2:
+            # the battery reaches pruning and exact ties of a binding crossover
+            assert pruned > self.TABLES_PER_ORDER // 10
+            assert tied_rows > 0
+        print(f"M={M}: {pruned} pruned tables, {tied_rows} tied survivor rows")
+
+    @staticmethod
+    def _tied_survivor_rows(pam, lp, gain, regions) -> int:
+        """Surviving rows whose largest crossover below is attained twice.
+
+        Empty rows carry a NaN bound, which matches nothing.
+        """
+        x = pam.points
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = (x[:, None] + x) / 2.0 - (lp[:, None] - lp) / (
+                2.0 * (x[:, None] - x) * gain
+            )
+        below = np.triu(d == regions.lower[:, None], 1)
+        return int(np.sum(below.sum(axis=1) > 1))

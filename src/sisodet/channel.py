@@ -9,6 +9,7 @@ norm becomes a plain Euclidean norm.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,12 @@ def make_channel(
     The noise interface is the covariance because that is what simulator
     users reason about; the stored state is its inverse, which the
     whitener factors.
+
+    Raises:
+        ValueError: If the shapes do not match, the channel or precoder
+            has a non-finite entry, or the covariance is not finite and
+            Hermitian.
+        LinAlgError: If the covariance is not positive definite.
     """
     Hbar = np.asarray(physical_channel, dtype=complex)
     C = np.asarray(noise_covariance, dtype=complex)
@@ -77,9 +84,13 @@ def make_channel(
             f"noise covariance must be ({n_rx}, {n_rx}) for a channel of shape "
             f"{Hbar.shape}, got shape {C.shape}"
         )
+    if not all(map(cmath.isfinite, Hbar.ravel().tolist())):
+        raise ValueError("channel matrix contains non-finite values")
     if precoder is None:
         precoder = default_precoder(Hbar.shape[1])
     W = np.asarray(precoder, dtype=complex)
+    if not all(map(cmath.isfinite, W.ravel().tolist())):
+        raise ValueError("precoder contains non-finite values")
     cholesky_factor(C)  # reject non-PD covariances early, with the pivot named
     Q = np.linalg.inv(C)
     Q = 0.5 * (Q + Q.conj().T)
@@ -106,14 +117,21 @@ def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
     turns the precision-weighted residual norm into a Euclidean one.
 
     Raises:
-        ValueError: If a whitened layer signature is numerically zero,
-            since the detector divides by its squared norm.
+        ValueError: If ``y`` does not have one entry per receive antenna,
+            or a whitened layer signature is numerically zero, since the
+            detector divides by its squared norm.
     """
-    G = cholesky_factor(ch.noise_precision)
-    GH = G.conj().T
-    y_t = GH @ np.asarray(y, dtype=complex).ravel()
-    h1 = GH @ ch.effective_channel[:, 0]
-    h2 = GH @ ch.effective_channel[:, 1]
+    y = np.asarray(y, dtype=complex).ravel()
+    n_rx = ch.effective_channel.shape[0]
+    if y.size != n_rx:
+        raise ValueError(
+            f"observation has {y.size} entries, the channel has {n_rx} receive antennas"
+        )
+    GH = cholesky_factor(ch.noise_precision).conj().T
+    y_t = GH @ y
+    # One stacked mat-vec per layer signature: the rows are the whitened
+    # signatures, rounded exactly as GH @ (one column) rounds them.
+    h1, h2 = (GH @ ch.effective_channel.T[:, :, None])[:, :, 0]
     gain1 = float(np.vdot(h1, h1).real)
     gain2 = float(np.vdot(h2, h2).real)
     if gain1 < DEGENERATE_GAIN or gain2 < DEGENERATE_GAIN:

@@ -100,6 +100,12 @@ class Constellation:
         """``labels`` as booleans, selecting the symbols with each bit set."""
         return _frozen(self.labels.astype(bool))
 
+    @cached_property
+    def split_bit_mask(self) -> np.ndarray:
+        """``(M, 2q)`` mask: column n selects the symbols with bit n set,
+        column q + n those with it clear."""
+        return _frozen(np.concatenate((self.bit_mask, ~self.bit_mask), axis=1))
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -114,26 +120,15 @@ def require_valid_order(M: int) -> None:
         )
 
 
-def _gray_bits(index: int, width: int) -> list[int]:
-    g = index ^ (index >> 1)
-    return [(g >> (width - 1 - n)) & 1 for n in range(width)]
-
-
-def _gray_decode(g: int) -> int:
-    n = 0
-    while g:
-        n ^= g
-        g >>= 1
-    return n
-
-
 def _build_axis(M: int) -> PamAxis:
     L = int(round(np.sqrt(M)))
     half_q = (M.bit_length() - 1) // 2
     # Amplitudes {L-1, L-3, ..., -(L-1)} scaled for unit total symbol energy.
     scale = 1.0 / np.sqrt(2.0 * (M - 1) / 3.0)
     points = np.arange(L - 1, -L, -2, dtype=float) * scale
-    labels = np.array([_gray_bits(k, half_q) for k in range(L)], dtype=np.uint8)
+    k = np.arange(L)
+    gray = k ^ (k >> 1)
+    labels = ((gray[:, None] >> np.arange(half_q - 1, -1, -1)) & 1).astype(np.uint8)
     points.flags.writeable = False
     labels.flags.writeable = False
     return PamAxis(L=L, points=points, spacing=2.0 * scale, labels=labels)
@@ -157,17 +152,16 @@ def build_constellation(M: int) -> Constellation:
     half_q = q // 2
     axis = _build_axis(M)
 
-    symbols = np.empty(M, dtype=complex)
-    labels = np.empty((M, q), dtype=np.uint8)
-    for k in range(M):
-        bits = [(k >> (q - 1 - n)) & 1 for n in range(q)]
-        re_bits = bits[:half_q]
-        im_bits = bits[half_q:]
-        a = _gray_decode(int("".join(map(str, re_bits)), 2))
-        b = _gray_decode(int("".join(map(str, im_bits)), 2))
-        symbols[k] = axis.points[a] + 1j * axis.points[b]
-        labels[k, :half_q] = axis.labels[a]
-        labels[k, half_q:] = axis.labels[b]
+    # Symbol k carries label k: its high half_q bits are the Gray label of
+    # the real amplitude, its low half_q bits that of the imaginary one.
+    k = np.arange(axis.L)
+    amplitude_of_label = np.empty(axis.L, dtype=np.intp)
+    amplitude_of_label[k ^ (k >> 1)] = k
+    index = np.arange(M)
+    a = amplitude_of_label[index >> half_q]
+    b = amplitude_of_label[index & (axis.L - 1)]
+    symbols = axis.points[a] + 1j * axis.points[b]
+    labels = np.concatenate((axis.labels[a], axis.labels[b]), axis=1)
     symbols.flags.writeable = False
     labels.flags.writeable = False
     return Constellation(
@@ -180,10 +174,10 @@ def bits_to_symbol(c: Constellation, bits) -> complex:
     bits = np.asarray(bits).ravel()
     if bits.size != c.q:
         raise ValueError(f"expected {c.q} bits, got {bits.size}")
-    if not np.all((bits == 0) | (bits == 1)):
-        raise ValueError("bit vector entries must be 0 or 1")
     index = 0
-    for b in bits:
+    for b in bits.tolist():
+        if b != 0 and b != 1:
+            raise ValueError("bit vector entries must be 0 or 1")
         index = (index << 1) | int(b)
     return complex(c.symbols[index])
 

@@ -13,6 +13,8 @@ output bit LLRs match the exhaustive max-log search exactly.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,16 +86,20 @@ def candidate_metric(
     return float(prior - np.vdot(r, r).real)
 
 
-def llrs_from_metrics(metrics, labels) -> np.ndarray:
-    """Per-bit LLRs: best metric with the bit set minus best with it clear."""
+def llrs_from_metrics(metrics, split_mask) -> np.ndarray:
+    """Per-bit LLRs: best metric with the bit set minus best with it clear.
+
+    ``split_mask`` is a constellation's ``split_bit_mask``: ``(M, 2q)``,
+    the symbols with bit n set in column n and those with it clear in
+    column q + n.
+    """
     metrics = np.asarray(metrics, dtype=float)
-    mask = np.asarray(labels, dtype=bool)
+    mask = np.asarray(split_mask, dtype=bool)
     if metrics.size != mask.shape[0]:
         raise ValueError("one metric per labeled symbol required")
-    stacked = metrics[:, None]
-    best_one = np.where(mask, stacked, -np.inf).max(axis=0)
-    best_zero = np.where(mask, -np.inf, stacked).max(axis=0)
-    return best_one - best_zero
+    q = mask.shape[1] // 2
+    best = np.where(mask, metrics[:, None], -np.inf).max(axis=0)
+    return best[:q] - best[q:]
 
 
 def detect(
@@ -108,18 +114,21 @@ def detect(
     evaluated.  Per-bit LLRs are max-differences over the enumerated
     labels.  The result matches the exhaustive pairwise max-log search.
     """
-    for arr in (obs.y, obs.h1, obs.h2):
-        if not np.isfinite(arr).all():
-            raise ValueError("whitened observation contains non-finite values")
-    if not np.isfinite(llrs.values).all():
+    if not all(map(cmath.isfinite, obs.y.tolist() + obs.h1.tolist() + obs.h2.tolist())):
+        raise ValueError("whitened observation contains non-finite values")
+    if not all(map(math.isfinite, llrs.values.ravel().tolist())):
         raise ValueError("a-priori LLRs contain non-finite values")
     check_llr_shape(llrs, c)
 
     pam_r, pam_i = c.real_axis, c.imag_axis
-    reg1_re = build_regions(pam_r, axis_log_priors(llrs, 1, "real", pam_r), obs.gain1)
-    reg1_im = build_regions(pam_i, axis_log_priors(llrs, 1, "imag", pam_i), obs.gain1)
-    reg2_re = build_regions(pam_r, axis_log_priors(llrs, 2, "real", pam_r), obs.gain2)
-    reg2_im = build_regions(pam_i, axis_log_priors(llrs, 2, "imag", pam_i), obs.gain2)
+    lp1_re = axis_log_priors(llrs, 1, "real", pam_r)
+    lp1_im = axis_log_priors(llrs, 1, "imag", pam_i)
+    lp2_re = axis_log_priors(llrs, 2, "real", pam_r)
+    lp2_im = axis_log_priors(llrs, 2, "imag", pam_i)
+    reg1_re = build_regions(pam_r, lp1_re, obs.gain1)
+    reg1_im = build_regions(pam_i, lp1_im, obs.gain1)
+    reg2_re = build_regions(pam_r, lp2_re, obs.gain2)
+    reg2_im = build_regions(pam_i, lp2_im, obs.gain2)
     boundary_count = (
         reg1_re.boundary_count
         + reg1_im.boundary_count
@@ -128,41 +137,43 @@ def detect(
     )
 
     syms = c.symbols
-    half_q = c.q // 2
-    l1 = llrs.values[0]
-    l2 = llrs.values[1]
+    y, h1, h2 = obs.y, obs.h1, obs.h2
 
     # Projected residuals for every enumerated symbol of each layer.
-    h2_y = np.vdot(obs.h2, obs.y)
-    h1_y = np.vdot(obs.h1, obs.y)
-    h2_h1 = np.vdot(obs.h2, obs.h1)
-    h1_h2 = np.vdot(obs.h1, obs.h2)
+    h2_y = np.vdot(h2, y)
+    h1_y = np.vdot(h1, y)
+    h2_h1 = np.vdot(h2, h1)
+    h1_h2 = np.vdot(h1, h2)
     z_from_1 = (h2_y - h2_h1 * syms) / obs.gain2
     z_from_2 = (h1_y - h1_h2 * syms) / obs.gain1
 
-    # Best partner amplitudes per axis, then partner symbols and labels.
+    # Best partner amplitudes per axis, then the candidate pairs: row 0
+    # enumerates layer 1 against its sliced layer-2 partner, row 1 the
+    # reverse.  x1 holds each candidate's layer-1 symbol, x2 its layer-2.
     a2 = slice_statistic(reg2_re, z_from_1.real)
     b2 = slice_statistic(reg2_im, z_from_1.imag)
     a1 = slice_statistic(reg1_re, z_from_2.real)
     b1 = slice_statistic(reg1_im, z_from_2.imag)
-    partner_for_1 = pam_r.points[a2] + 1j * pam_i.points[b2]
-    partner_for_2 = pam_r.points[a1] + 1j * pam_i.points[b1]
-    partner_prior_2 = (
-        pam_r.bit_weights[a2] @ l2[:half_q] + pam_i.bit_weights[b2] @ l2[half_q:]
-    )
-    partner_prior_1 = (
-        pam_r.bit_weights[a1] @ l1[:half_q] + pam_i.bit_weights[b1] @ l1[half_q:]
-    )
+    x1 = np.empty((2, c.M), dtype=complex)
+    x2 = np.empty((2, c.M), dtype=complex)
+    x1[0] = syms
+    x2[1] = syms
+    x2.real[0] = pam_r.points[a2]
+    x2.imag[0] = pam_i.points[b2]
+    x1.real[1] = pam_r.points[a1]
+    x1.imag[1] = pam_i.points[b1]
+    energy = (np.abs(y - x1[:, :, None] * h1 - x2[:, :, None] * h2) ** 2).sum(axis=2)
 
-    enum_prior_1 = c.bit_weights @ l1
-    enum_prior_2 = c.bit_weights @ l2
+    partner_prior_2 = lp2_re.logp[a2] + lp2_im.logp[b2]
+    partner_prior_1 = lp1_re.logp[a1] + lp1_im.logp[b1]
+    enum_prior_1 = c.bit_weights.dot(llrs.values[0])
+    enum_prior_2 = c.bit_weights.dot(llrs.values[1])
+    eta1 = enum_prior_1 + partner_prior_2 - energy[0]
+    eta2 = partner_prior_1 + enum_prior_2 - energy[1]
 
-    r1 = obs.y[None, :] - syms[:, None] * obs.h1[None, :] - partner_for_1[:, None] * obs.h2[None, :]
-    r2 = obs.y[None, :] - partner_for_2[:, None] * obs.h1[None, :] - syms[:, None] * obs.h2[None, :]
-    eta1 = enum_prior_1 + partner_prior_2 - np.sum(np.abs(r1) ** 2, axis=1)
-    eta2 = partner_prior_1 + enum_prior_2 - np.sum(np.abs(r2) ** 2, axis=1)
-
-    out = np.vstack([llrs_from_metrics(eta1, c.bit_mask), llrs_from_metrics(eta2, c.bit_mask)])
+    out = np.empty((2, c.q))
+    out[0] = llrs_from_metrics(eta1, c.split_bit_mask)
+    out[1] = llrs_from_metrics(eta2, c.split_bit_mask)
     return DetectionResult(
         llrs=out,
         candidate_metric_count=2 * c.M,

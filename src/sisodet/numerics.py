@@ -6,40 +6,69 @@ receiver scale (a handful of antennas), so clarity beats asymptotics.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 from numpy.linalg import LinAlgError
-
-
-def _require_hermitian(Q: np.ndarray) -> None:
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {Q.shape}")
-    scale = max(1.0, float(np.abs(Q).max()))
-    if np.abs(Q - Q.conj().T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian")
 
 
 def cholesky_factor(Q) -> np.ndarray:
     """Lower-triangular G with G @ G.conj().T == Q.
 
+    One scalar pass over ``Q.tolist()``: the finiteness and Hermitian
+    checks, then the factor column by column.  At receiver scale (a few
+    antennas) per-entry Python arithmetic is cheaper than one numpy call
+    per row operation.
+
     Raises:
+        ValueError: If Q is not square, has a non-finite entry, or is not
+            Hermitian.
         LinAlgError: If Q is not positive definite; the message names the
             first non-positive pivot.
-        ValueError: If Q is not square Hermitian.
     """
     Q = np.asarray(Q, dtype=complex)
-    _require_hermitian(Q)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {Q.shape}")
     n = Q.shape[0]
-    G = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        pivot = Q[j, j].real - np.sum(np.abs(G[j, :j]) ** 2)
-        if pivot <= 0.0:
+    rows = Q.tolist()
+    scale = 1.0
+    for row in rows:
+        for z in row:
+            if not cmath.isfinite(z):
+                raise ValueError("matrix contains non-finite values")
+            scale = max(scale, abs(z))
+    # |Q[i][j] - conj(Q[j][i])| is symmetric in (i, j): the lower triangle
+    # with the diagonal covers every entry.
+    tol = 1e-10 * scale
+    for i, row in enumerate(rows):
+        for j in range(i + 1):
+            if abs(row[j] - rows[j][i].conjugate()) > tol:
+                raise ValueError("matrix is not Hermitian")
+
+    G = [[0j] * n for _ in range(n)]
+    for j, Gj in enumerate(G):
+        energy = 0.0
+        for g in Gj[:j]:
+            # numpy's complex modulus, not abs(): the two differ in the
+            # last bit, and the factor keeps numpy's rounding.
+            a = float(np.absolute(g))
+            energy += a * a
+        pivot = rows[j][j].real - energy
+        if not pivot > 0.0:
             raise LinAlgError(
                 f"matrix is not positive definite: pivot {j} is {pivot:.3e}"
             )
-        G[j, j] = np.sqrt(pivot)
+        d = math.sqrt(pivot)
+        Gj[j] = complex(d)
+        inv_d = 1.0 / d
         for i in range(j + 1, n):
-            G[i, j] = (Q[i, j] - G[i, :j] @ G[j, :j].conj()) / G[j, j]
-    return G
+            Gi = G[i]
+            dot = 0j
+            for k in range(j):
+                dot += Gi[k] * Gj[k].conjugate()
+            Gi[j] = (rows[i][j] - dot) * inv_d
+    return np.array(G, dtype=complex).reshape(n, n)
 
 
 def quadratic_norm(x, Q) -> float:

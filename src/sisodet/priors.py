@@ -9,6 +9,7 @@ ever matter, so the normalization constant is never computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +40,22 @@ def clamp(values, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
     """Build AprioriLLRs, clamping magnitudes to l_max.
 
     Infinities clamp to +-l_max; NaN is rejected rather than propagated.
+
+    Raises:
+        ValueError: If the array is not (2, q), holds NaN, or ``l_max`` is
+            not a finite positive number (a negative bound would flip
+            every sign, a NaN bound would make every LLR NaN).
     """
+    if not 0.0 < l_max < math.inf:
+        raise ValueError(f"l_max must be finite and positive, got {l_max!r}")
     arr = np.array(values, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != 2:
         raise ValueError(f"expected a (2, q) LLR array, got shape {arr.shape}")
-    if np.isnan(arr).any():
+    np.minimum(arr, l_max, out=arr)
+    np.maximum(arr, -l_max, out=arr)
+    # Every clamped value is finite unless it was NaN, which both bounds keep.
+    if not all(map(math.isfinite, arr.ravel().tolist())):
         raise ValueError("a-priori LLRs contain NaN")
-    np.clip(arr, -l_max, l_max, out=arr)
     arr.flags.writeable = False
     return AprioriLLRs(values=arr, l_max=float(l_max))
 
@@ -79,7 +89,7 @@ def axis_log_priors(
     row = llrs.values[layer - 1]
     half_q = row.size // 2
     bit_slice = row[:half_q] if axis == "real" else row[half_q:]
-    logp = pam.bit_weights @ bit_slice
+    logp = pam.bit_weights.dot(bit_slice)
     logp.flags.writeable = False
     return AxisLogPriors(layer=layer, axis=axis, logp=logp)
 

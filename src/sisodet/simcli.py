@@ -19,6 +19,8 @@ invocation is reproducible byte for byte.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,8 +78,14 @@ class SimConfig:
             raise UsageError(f"tones must be at least 1, got {self.tones}")
         if not 0.0 <= self.rho < 1.0:
             raise UsageError(f"rho must lie in [0, 1), got {self.rho}")
-        if any(mu < 0 for mu in self.mu_list):
-            raise UsageError("mu values must be nonnegative")
+        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+            raise UsageError(
+                f"snr_db (--snr-db) values must be finite, got {list(self.snr_db_list)}"
+            )
+        if not all(0.0 <= mu < math.inf for mu in self.mu_list):
+            raise UsageError(
+                f"mu (--mu) values must be finite and nonnegative, got {list(self.mu_list)}"
+            )
         if not self.snr_db_list or not self.mu_list:
             raise UsageError("snr_db and mu lists must be non-empty")
 
@@ -209,7 +217,7 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
             data = _run_tone(tone_rng(cfg.seed, p_idx, t_idx), const, cfg, sigma2, mu)
             result = detect(data.obs, const, data.llrs)
             reference = brute_force_maxlog(data.obs, const, data.llrs)
-            disc = float(np.max(np.abs(result.llrs - reference)))
+            disc = float(np.abs(result.llrs - reference).max())
             point_max = max(point_max, disc)
             metric_sum += result.total_metric_count
             count_ok = (
@@ -274,7 +282,7 @@ def run_simulate(cfg: SimConfig) -> tuple[int, list[SimRecord], str]:
             data = _run_tone(tone_rng(cfg.seed, p_idx, t_idx), const, cfg, sigma2, mu)
             result = detect(data.obs, const, data.llrs)
             reference = brute_force_maxlog(data.obs, const, data.llrs)
-            disc = float(np.max(np.abs(result.llrs - reference)))
+            disc = float(np.abs(result.llrs - reference).max())
             max_disc = max(max_disc, disc)
             if cfg.verify_first and disc > VERIFY_TOLERANCE:
                 dump = (
@@ -282,8 +290,8 @@ def run_simulate(cfg: SimConfig) -> tuple[int, list[SimRecord], str]:
                     + _dump_tone(cfg, (snr_db, mu), p_idx, t_idx, data)
                 )
                 return 1, records, dump + "\n"
-            det_errors += int(np.sum((result.llrs > 0).astype(int) != data.bits))
-            orc_errors += int(np.sum((reference > 0).astype(int) != data.bits))
+            det_errors += int(np.count_nonzero((result.llrs > 0) != data.bits))
+            orc_errors += int(np.count_nonzero((reference > 0) != data.bits))
             metric_sum += result.total_metric_count
         total_bits = cfg.tones * bits_per_tone
         record = SimRecord(
@@ -513,7 +521,13 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every ``main``.
+
+    Building it costs more than detecting several tones; parsing leaves
+    it unchanged, so one instance serves every call in the process.
+    """
     parser = argparse.ArgumentParser(
         prog="sisodet",
         description="Dual-layer MIMO soft detector: verification, simulation, "

@@ -26,6 +26,7 @@ along that chain needs: every pair with at least one surviving member,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,7 @@ class DecisionRegions:
 
 def _logp_array(logp) -> np.ndarray:
     arr = logp.logp if isinstance(logp, AxisLogPriors) else np.asarray(logp, float)
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.ravel().tolist())):
         raise ValueError("axis log-priors must be finite")
     return arr
 
@@ -114,7 +115,7 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     if lp.size != L:
         raise ValueError(f"expected {L} log-priors, got {lp.size}")
 
-    d = pam.pair_midpoints - np.subtract.outer(lp, lp) / (pam.pair_gaps * float(gain))
+    d = pam.pair_midpoints - (lp[:, None] - lp) / (pam.pair_gaps * float(gain))
     below = np.where(pam.below, d, -np.inf)
     lower = below.max(axis=1)  # -inf on the last row
     upper = np.minimum.reduce(d, axis=1, where=pam.above, initial=np.inf)  # +inf on row 0
@@ -123,10 +124,11 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     survivors = [0]
     while survivors[-1] < L - 1:
         survivors.append(j_star[survivors[-1]])
-    empty = np.ones(L, dtype=bool)
-    empty[survivors] = False
     E = L - len(survivors)
-    if E:
+    empty = np.zeros(L, dtype=bool)
+    if E:  # most tables empty nothing and skip the fancy indexing
+        empty[:] = True
+        empty[survivors] = False
         lower[empty] = upper[empty] = np.nan
     return DecisionRegions(
         lower=lower,
@@ -143,7 +145,7 @@ def slice_statistic(regions: DecisionRegions, z):
     Equivalent to the score argmax over all amplitudes; a z exactly on a
     shared threshold goes to the higher-amplitude side.
     """
-    result = regions._owners[np.searchsorted(regions._ascending_bounds, z, side="right")]
+    result = regions._owners[regions._ascending_bounds.searchsorted(z, side="right")]
     return int(result) if np.ndim(z) == 0 else result
 
 

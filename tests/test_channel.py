@@ -60,6 +60,12 @@ class TestWhiten:
         np.testing.assert_allclose(obs.gain1, np.sum(np.abs(obs.h1) ** 2), rtol=1e-12)
         np.testing.assert_allclose(obs.gain2, np.sum(np.abs(obs.h2) ** 2), rtol=1e-12)
 
+    def test_wrong_length_observation_named(self):
+        """A 3-entry y against a 2-antenna channel names both lengths."""
+        ch = _channel_with_precision(np.eye(2))
+        with pytest.raises(ValueError, match=r"3 entries.*2 receive antennas"):
+            whiten(np.zeros(3, dtype=complex), ch)
+
     def test_degenerate_gain_rejected(self):
         Hbar = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         ch = make_channel(Hbar, np.eye(2))
@@ -153,6 +159,23 @@ class TestMakeChannel:
         C = random_hermitian_pd(rng, 2)
         ch = make_channel(generate_channel(rng, 2, 2), C)
         np.testing.assert_allclose(ch.noise_precision @ C, np.eye(2), atol=1e-10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_channel_named(self, value):
+        Hbar = np.eye(2, dtype=complex)
+        Hbar[1, 0] = value
+        with pytest.raises(ValueError, match="channel matrix contains non-finite"):
+            make_channel(Hbar, np.eye(2))
+        with pytest.raises(ValueError, match="precoder contains non-finite"):
+            make_channel(np.eye(2, dtype=complex), np.eye(2), precoder=Hbar)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_covariance_named(self, value):
+        """Caught in make_channel, not later as a non-finite whitened observation."""
+        C = np.eye(2, dtype=complex)
+        C[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            make_channel(np.eye(2, dtype=complex), C)
 
     def test_covariance_shape_must_match_receive_antennas(self):
         """A 3x3 covariance with a two-antenna channel names both shapes."""

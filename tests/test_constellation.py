@@ -67,6 +67,16 @@ class TestConstellation:
             assert int(np.sum(c.labels[:, n])) == M // 2
 
     @pytest.mark.parametrize("M", ALL_ORDERS)
+    def test_split_bit_mask_columns(self, M):
+        """Column n picks bit n set, column q + n bit n clear; read-only."""
+        c = build_constellation(M)
+        split = c.split_bit_mask
+        assert split.shape == (M, 2 * c.q)
+        np.testing.assert_array_equal(split[:, : c.q], c.labels == 1)
+        np.testing.assert_array_equal(split[:, c.q :], c.labels == 0)
+        assert not split.flags.writeable
+
+    @pytest.mark.parametrize("M", ALL_ORDERS)
     def test_axis_separability(self, M):
         """Real/imag parts decode independently from the two bit halves."""
         c = build_constellation(M)
@@ -82,6 +92,30 @@ class TestConstellation:
             )[0]
             np.testing.assert_allclose(re_part, c.real_axis.points[a], atol=0)
             np.testing.assert_allclose(im_part, c.imag_axis.points[b], atol=0)
+
+    @pytest.mark.parametrize("M", ALL_ORDERS)
+    def test_matches_per_symbol_gray_decode(self, M):
+        """Symbols and labels equal a per-symbol Gray decode, bit for bit."""
+        c = build_constellation(M)
+        L, half = c.real_axis.L, c.q // 2
+
+        def gray_decode(g):
+            n = 0
+            while g:
+                n ^= g
+                g >>= 1
+            return n
+
+        for k in range(L):
+            gray = k ^ (k >> 1)
+            assert c.real_axis.labels[k].tolist() == [(gray >> (half - 1 - n)) & 1 for n in range(half)]
+        for k in range(M):
+            a = gray_decode(k >> half)
+            b = gray_decode(k & (L - 1))
+            assert c.symbols[k] == c.real_axis.points[a] + 1j * c.imag_axis.points[b]
+            assert c.labels[k].tolist() == (
+                c.real_axis.labels[a].tolist() + c.imag_axis.labels[b].tolist()
+            )
 
     def test_gray_property_nearest_neighbors(self):
         """Nearest neighbors along either axis differ in exactly one bit."""

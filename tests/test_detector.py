@@ -119,7 +119,7 @@ class TestCandidateMetric:
 class TestLlrsFromMetrics:
     def test_all_equal_metrics_zero_llrs(self):
         const = build_constellation(16)
-        out = llrs_from_metrics(np.full(16, 2.5), const.labels)
+        out = llrs_from_metrics(np.full(16, 2.5), const.split_bit_mask)
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_unique_maximum_dominates_signs(self):
@@ -129,7 +129,7 @@ class TestLlrsFromMetrics:
         metrics = rng.uniform(-10, 0, 64)
         k0 = rng.integers(0, 64)
         metrics[k0] = 5.0
-        out = llrs_from_metrics(metrics, const.labels)
+        out = llrs_from_metrics(metrics, const.split_bit_mask)
         for n in range(6):
             assert (out[n] >= 0) == bool(const.labels[k0, n])
 
@@ -139,7 +139,7 @@ class TestLlrsFromMetrics:
         rng = np.random.default_rng(47)
         for _ in range(50):
             metrics = rng.uniform(-20, 20, 16)
-            out = llrs_from_metrics(metrics, const.labels)
+            out = llrs_from_metrics(metrics, const.split_bit_mask)
             for n in range(4):
                 best = [-np.inf, -np.inf]
                 for k in range(16):
@@ -151,8 +151,8 @@ class TestLlrsFromMetrics:
         const = build_constellation(16)
         rng = np.random.default_rng(48)
         metrics = rng.uniform(-5, 5, 16)
-        base = llrs_from_metrics(metrics, const.labels)
-        shifted = llrs_from_metrics(metrics + 2.0, const.labels)
+        base = llrs_from_metrics(metrics, const.split_bit_mask)
+        shifted = llrs_from_metrics(metrics + 2.0, const.split_bit_mask)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -305,7 +305,7 @@ class TestDetect:
         const = build_constellation(64)
         detect(obs, const, llrs)
         axis = const.real_axis
-        tables = (const.bit_weights, const.bit_mask, axis.bit_weights,
+        tables = (const.bit_weights, const.bit_mask, const.split_bit_mask, axis.bit_weights,
                   axis.pair_midpoints, axis.pair_gaps, axis.below, axis.above)
         refs = [weakref.ref(table) for table in tables]
         del const, axis, tables

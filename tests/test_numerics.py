@@ -42,6 +42,50 @@ class TestCholeskyFactor:
         with pytest.raises(ValueError):
             cholesky_factor(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_differential_against_lapack(self, n):
+        """Seeded HPD matrices up to condition 1e8 against np.linalg.cholesky.
+
+        Both factors are the unique one with a positive real diagonal, so
+        they agree to the forward error bound cond(Q) * n * eps in units of
+        sqrt(max |Q|); G G^H reproduces Q to n * eps in units of max |Q|.
+        """
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng([61, n])
+        for _ in range(200):
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            cond = 10.0 ** rng.uniform(0.0, 8.0)
+            eigenvalues = np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** rng.uniform(-6.0, 6.0)
+            Q = (U * eigenvalues) @ U.conj().T
+            Q = 0.5 * (Q + Q.conj().T)
+            scale = np.abs(Q).max()
+            G = cholesky_factor(Q)
+            assert np.all(np.triu(G, 1) == 0)
+            assert np.abs(G @ G.conj().T - Q).max() <= 4 * n * eps * scale
+            gap = np.abs(G - np.linalg.cholesky(Q)).max()
+            assert gap <= 4 * n * eps * cond * np.sqrt(scale)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_first_failing_pivot_named(self, n):
+        """Lowering Q[j, j] past its pivot fails at exactly pivot j."""
+        rng = np.random.default_rng([62, n])
+        for j in range(n):
+            Q = random_hermitian_pd(rng, n)
+            G = np.linalg.cholesky(Q)
+            Q[j, j] -= 2.0 * G[j, j].real ** 2
+            with pytest.raises(LinAlgError, match=f"pivot {j} is -"):
+                cholesky_factor(Q)
+
+    @pytest.mark.parametrize(
+        "i, j, value", [(0, 0, np.nan), (1, 1, np.inf), (0, 1, np.nan), (1, 0, complex(0, np.inf))]
+    )
+    def test_non_finite_entry_named(self, i, j, value):
+        """A NaN or inf anywhere fails by name, not as a NaN factor."""
+        Q = np.eye(2, dtype=complex)
+        Q[i, j] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            cholesky_factor(Q)
+
 
 class TestQuadraticNorm:
     def test_zero_vector(self):

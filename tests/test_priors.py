@@ -38,6 +38,18 @@ class TestClamp:
         with pytest.raises(ValueError):
             clamp(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("l_max", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+    def test_bad_bound_rejected(self, l_max):
+        """A negative bound would flip every sign, a NaN one give NaN LLRs."""
+        with pytest.raises(ValueError, match="l_max"):
+            clamp(np.ones((2, 4)), l_max)
+
+    def test_nan_rejected_at_clamped_entries(self):
+        """NaN is caught wherever it sits, including beside +-inf entries."""
+        vals = np.array([[np.inf, 1.0], [-np.inf, np.nan]])
+        with pytest.raises(ValueError, match="NaN"):
+            clamp(vals)
+
 
 class TestAxisLogPriors:
     def test_zero_llrs_zero_logp(self):

@@ -1,12 +1,19 @@
 """Tests for the Monte-Carlo harness and its four subcommands."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sisodet
 from sisodet import build_constellation, detect, pairwise_boundary, uniform_priors
 from sisodet.simcli import (
     SimConfig,
     UsageError,
+    _build_parser,
     _run_tone,
     main,
     run_regions,
@@ -215,6 +222,67 @@ class TestMainCli:
         assert main(["verify", "--config", str(config)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", "--snr-db", "nan", "--tones", "2"], "--snr-db"),
+            (["simulate", "--mu", "inf", "--tones", "2"], "--mu"),
+            (["verify", "--snr-db", "inf", "--tones", "2"], "--snr-db"),
+        ],
+    )
+    def test_non_finite_grid_exit_two(self, argv, flag, capsys):
+        """Rejected as a usage error naming the flag, not a traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "line, key", [("snr_db = 0, nan", "snr_db"), ("mu = inf", "mu")]
+    )
+    def test_non_finite_config_value_exit_two(self, line, key, tmp_path, capsys):
+        """The same rejection through --config names the config key too."""
+        config = tmp_path / "grid.cfg"
+        config.write_text(line + "\n")
+        assert main(["simulate", "--tones", "2", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{key} (--" in err
+
+
+PARSER_REUSE_RUNS = [
+    ["simulate", "--tones", "many"],  # argparse usage error: exit 2
+    ["verify", "--M", "16", "--tones", "20", "--seed", "3", "--mu", "0,4"],
+    ["simulate", "--M", "16", "--tones", "20", "--snr-db", "0,10", "--mu", "0,4", "--rho", "0.5"],
+    ["regions", "--M", "16", "--llr", "0,0,0,0,0,-45,0,0"],
+]
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    """One process running a usage error, verify, simulate and regions in
+    turn, through the one cached parser, prints byte for byte what each
+    argv prints in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    env = dict(os.environ, PYTHONPATH=str(Path(sisodet.__file__).resolve().parents[1]))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "sisodet.simcli", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        for argv in PARSER_REUSE_RUNS
+    ]
+    for argv, expected in zip(PARSER_REUSE_RUNS, fresh):
+        try:
+            status = main(argv)
+        except SystemExit as exit_:
+            status = exit_.code
+        captured = capsys.readouterr()
+        assert status == expected.returncode
+        assert captured.out.encode() == expected.stdout
+        assert captured.err.encode() == expected.stderr
+    assert [run.returncode for run in fresh] == [2, 0, 0, 0]
+    assert _build_parser() is _build_parser()
+
 
 class TestFailurePaths:
     """A disagreeing detector must abort with exit 1 and a full dump."""
@@ -267,7 +335,11 @@ class TestConfigValidation:
             dict(rho=1.0),
             dict(rho=-0.1),
             dict(mu_list=(-1.0,)),
+            dict(mu_list=(np.inf,)),
+            dict(mu_list=(0.0, np.nan)),
             dict(snr_db_list=()),
+            dict(snr_db_list=(np.nan,)),
+            dict(snr_db_list=(10.0, -np.inf)),
         ],
     )
     def test_rejected(self, overrides):

@@ -8,37 +8,19 @@ magnitude.
 
 import numpy as np
 
-from sisodet import (
-    bits_to_symbol,
-    brute_force_maxlog,
-    build_constellation,
-    detect,
-    generate_channel,
-    generate_noise,
-    genie_priors,
-    make_channel,
-    transmit,
-    whiten,
-)
-from sisodet.simcli import noise_covariance, sigma2_from_snr_db
+from sisodet import brute_force_maxlog, build_constellation, detect
+from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
 
 rng = np.random.default_rng(2024)
 M = 64
 const = build_constellation(M)
 
-# Channel: 2x2, correlated noise at 12 dB SNR.
-Hbar = generate_channel(rng, 2, 2)
+# A random 2x2 channel with correlated noise at 12 dB SNR carries two
+# random symbols; the decoder feedback stand-in draws LLRs around the
+# true bits.
 C = noise_covariance(sigma2_from_snr_db(12.0), rho=0.5, n_rx=2)
-ch = make_channel(Hbar, C)
-
-# Transmit two random symbols.
-bits = rng.integers(0, 2, size=(2, const.q))
-s = np.array([bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])])
-y = transmit(s, ch, generate_noise(rng, C))
-obs = whiten(y, ch)
-
-# Decoder feedback stand-in: LLRs drawn around the true bits.
-llrs = genie_priors(rng, bits, mu=3.0)
+tone = draw_tone(rng, const, C, mu=3.0, n_tx=2)
+obs, llrs, bits = tone.obs, tone.llrs, tone.bits
 
 result = detect(obs, const, llrs)
 reference = brute_force_maxlog(obs, const, llrs)
@@ -60,13 +42,8 @@ print(f"  exhaustive      : {M * M} joint metrics")
 # The agreement is not luck: sweep a batch of random tones.
 worst = 0.0
 for t in range(500):
-    rng_t = np.random.default_rng([77, t])
-    Hbar = generate_channel(rng_t, 2, 2)
-    ch = make_channel(Hbar, C)
-    bits = rng_t.integers(0, 2, size=(2, const.q))
-    s = np.array([bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])])
-    obs = whiten(transmit(s, ch, generate_noise(rng_t, C)), ch)
-    llrs = genie_priors(rng_t, bits, mu=float(t % 5))
+    tone = draw_tone(np.random.default_rng([77, t]), const, C, mu=float(t % 5), n_tx=2)
+    obs, llrs = tone.obs, tone.llrs
     d = np.max(np.abs(detect(obs, const, llrs).llrs - brute_force_maxlog(obs, const, llrs)))
     worst = max(worst, float(d))
 print(f"\nworst disagreement over 500 random tones: {worst:.3e}")

@@ -11,16 +11,10 @@ from sisodet import (
     build_constellation,
     clamp,
     detect,
-    generate_channel,
-    generate_noise,
-    genie_priors,
-    make_channel,
     measured_vs_predicted,
     predicted_counts,
-    transmit,
-    bits_to_symbol,
-    whiten,
 )
+from sisodet.simcli import draw_tone
 
 N_RX = 2
 
@@ -41,21 +35,15 @@ for M in (4, 16, 64, 256):
 # and lands under it.
 M = 16
 const = build_constellation(M)
-rng = np.random.default_rng(5)
-Hbar = generate_channel(rng, N_RX, 2)
-C = np.eye(N_RX) * 0.25
-ch = make_channel(Hbar, C)
-bits = rng.integers(0, 2, (2, const.q))
-s = np.array([bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])])
-obs = whiten(transmit(s, ch, generate_noise(rng, C)), ch)
+tone = draw_tone(np.random.default_rng(5), const, np.eye(N_RX) * 0.25, mu=0.0, n_tx=2)
 
-plain = detect(obs, const, genie_priors(rng, bits, 0.0))
+plain = detect(tone.obs, const, tone.llrs)
 cmp_plain = measured_vs_predicted(plain, M)
 print(f"\nmeasured, M={M}, no feedback:")
 print(f"  total {cmp_plain.measured_total} vs ceiling {cmp_plain.predicted_total} "
       f"(slack {cmp_plain.pruning_slack})")
 
-strong = detect(obs, const, clamp([[0.0] * 4, [0.0, -40.0, 0.0, 0.0]]))
+strong = detect(tone.obs, const, clamp([[0.0] * 4, [0.0, -40.0, 0.0, 0.0]]))
 cmp_strong = measured_vs_predicted(strong, M)
 print(f"measured, M={M}, pruning feedback:")
 print(f"  total {cmp_strong.measured_total} vs ceiling {cmp_strong.predicted_total} "

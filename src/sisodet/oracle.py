@@ -26,12 +26,14 @@ def pair_metric_table(
     check_llr_shape(llrs, c)
     prior1 = c.bit_weights @ llrs.values[0]
     prior2 = c.bit_weights @ llrs.values[1]
+    # Antenna axis first, so the energy sums over whole contiguous (M, M)
+    # slices instead of a short strided axis.
     r = (
-        obs.y[None, None, :]
-        - c.symbols[:, None, None] * obs.h1[None, None, :]
-        - c.symbols[None, :, None] * obs.h2[None, None, :]
+        obs.y[:, None, None]
+        - c.symbols[None, :, None] * obs.h1[:, None, None]
+        - c.symbols[None, None, :] * obs.h2[:, None, None]
     )
-    energy = np.sum(np.abs(r) ** 2, axis=2)
+    energy = (np.abs(r) ** 2).sum(axis=0)
     return prior1[:, None] + prior2[None, :] - energy
 
 

@@ -22,7 +22,8 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,16 @@ from .channel import (
 )
 from .complexity import DETECTOR_KINDS, predicted_counts
 from .constellation import Constellation, build_constellation, bits_to_symbol
-from .detector import detect
+from .detector import DetectionResult, detect
 from .oracle import brute_force_maxlog
 from .priors import AprioriLLRs, axis_log_priors, clamp, genie_priors
 from .slicer import build_regions
 
 VERIFY_TOLERANCE = 1e-6
+# Usable SNR range in dB.  The metric arithmetic overflows from about
+# 3000 dB, far above the top; near -130 dB a weak channel draw already
+# puts a whitened layer gain under the degenerate-channel floor.
+SNR_DB_RANGE = (-100.0, 300.0)
 
 
 class UsageError(Exception):
@@ -78,9 +83,11 @@ class SimConfig:
             raise UsageError(f"tones must be at least 1, got {self.tones}")
         if not 0.0 <= self.rho < 1.0:
             raise UsageError(f"rho must lie in [0, 1), got {self.rho}")
-        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+        low, high = SNR_DB_RANGE
+        if not all(low <= snr <= high for snr in self.snr_db_list):
             raise UsageError(
-                f"snr_db (--snr-db) values must be finite, got {list(self.snr_db_list)}"
+                f"snr_db (--snr-db) values must lie in [{low:g}, {high:g}] dB, "
+                f"got {list(self.snr_db_list)}"
             )
         if not all(0.0 <= mu < math.inf for mu in self.mu_list):
             raise UsageError(
@@ -138,27 +145,31 @@ def tone_rng(seed: int, point_index: int, tone_index: int) -> np.random.Generato
     return np.random.default_rng([seed, point_index, tone_index])
 
 
-def _run_tone(
+def draw_tone(
     rng: np.random.Generator,
     const: Constellation,
-    cfg: SimConfig,
-    sigma2: float,
+    noise_covariance: np.ndarray,
     mu: float,
+    n_tx: int,
 ) -> ToneData:
-    Hbar = generate_channel(rng, cfg.n_rx, cfg.n_tx)
-    C = noise_covariance(sigma2, cfg.rho, cfg.n_rx)
-    ch = make_channel(Hbar, C)
+    """Draw one random tone: channel, bits, noise, then genie feedback.
+
+    The receive antenna count comes from the covariance.  The draws are
+    made in a fixed order from ``rng``, so one stream gives one tone.
+    """
+    Hbar = generate_channel(rng, noise_covariance.shape[0], n_tx)
+    ch = make_channel(Hbar, noise_covariance)
     bits = rng.integers(0, 2, size=(2, const.q))
     s = np.array(
         [bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])]
     )
-    n = generate_noise(rng, C)
+    n = generate_noise(rng, noise_covariance)
     y = transmit(s, ch, n)
     obs = whiten(y, ch)
     llrs = genie_priors(rng, bits, mu)
     return ToneData(
         channel=ch,
-        noise_covariance=C,
+        noise_covariance=noise_covariance,
         bits=bits,
         noise=n,
         y=y,
@@ -167,15 +178,37 @@ def _run_tone(
     )
 
 
+@dataclass
+class CheckedTone:
+    """One tone of a sweep, detected both ways and put through the gate.
+
+    ``failure`` says why the tone failed the gate (LLRs more than
+    ``VERIFY_TOLERANCE`` from the reference, or metric counters off the
+    model), and is None for a tone that passed.
+    """
+
+    point_index: int
+    tone_index: int
+    point: tuple[float, float]
+    data: ToneData
+    result: DetectionResult
+    reference: np.ndarray
+    discrepancy: float
+    failure: str | None
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _dump_tone(cfg: SimConfig, point: tuple, point_index: int, tone_index: int, data: ToneData) -> str:
-    """Full inputs of one tone, precise enough to reproduce the failure."""
+def _failure_report(cfg: SimConfig, tone: CheckedTone, reason: str) -> str:
+    """Failure line plus the full inputs of the tone, precise enough to
+    reproduce it."""
+    data = tone.data
     lines = [
-        f"offending tone: point_index={point_index} tone_index={tone_index}",
-        f"point: snr_db={_fmt(point[0])} mu={_fmt(point[1])}",
+        f"FAILURE: {reason}",
+        f"offending tone: point_index={tone.point_index} tone_index={tone.tone_index}",
+        f"point: snr_db={_fmt(tone.point[0])} mu={_fmt(tone.point[1])}",
         f"config: M={cfg.M} n_rx={cfg.n_rx} n_tx={cfg.n_tx} seed={cfg.seed} rho={_fmt(cfg.rho)}",
         f"physical_channel = {data.channel.physical_channel.tolist()!r}",
         f"precoder = {data.channel.precoder.tolist()!r}",
@@ -188,52 +221,66 @@ def _dump_tone(cfg: SimConfig, point: tuple, point_index: int, tone_index: int, 
     return "\n".join(lines)
 
 
-def _point_grid(cfg: SimConfig) -> list[tuple[float, float]]:
-    return [(snr, mu) for snr in cfg.snr_db_list for mu in cfg.mu_list]
+def _sweep(
+    cfg: SimConfig, const: Constellation
+) -> Iterator[tuple[tuple[float, float], Iterator[CheckedTone]]]:
+    """The (snr, mu) grid point by point, each with its checked tones.
+
+    Every tone is drawn from its own (seed, point, tone) stream, detected
+    by ``detect`` and by the exhaustive ``brute_force_maxlog``, and gated:
+    it fails when an LLR is more than ``VERIFY_TOLERANCE`` from the
+    reference, or when the counters break the model (2M candidate
+    metrics, total at most 4M - 2 sqrt(M)).  Consumers choose what a
+    failure does.
+    """
+    ceiling = 4 * cfg.M - 2 * const.real_axis.L
+
+    def checked(p_idx: int, point: tuple[float, float], C: np.ndarray) -> Iterator[CheckedTone]:
+        for t_idx in range(cfg.tones):
+            data = draw_tone(tone_rng(cfg.seed, p_idx, t_idx), const, C, point[1], cfg.n_tx)
+            result = detect(data.obs, const, data.llrs)
+            reference = brute_force_maxlog(data.obs, const, data.llrs)
+            disc = float(np.abs(result.llrs - reference).max())
+            if disc > VERIFY_TOLERANCE:
+                failure = f"llr discrepancy {_fmt(disc)}"
+            elif (
+                result.candidate_metric_count != 2 * cfg.M
+                or result.total_metric_count > ceiling
+            ):
+                failure = f"metric counts {result.candidate_metric_count}/{result.total_metric_count}"
+            else:
+                failure = None
+            yield CheckedTone(p_idx, t_idx, point, data, result, reference, disc, failure)
+
+    points = [(snr, mu) for snr in cfg.snr_db_list for mu in cfg.mu_list]
+    for p_idx, point in enumerate(points):
+        C = noise_covariance(sigma2_from_snr_db(point[0]), cfg.rho, cfg.n_rx)
+        yield point, checked(p_idx, point, C)
 
 
 def run_verify(cfg: SimConfig) -> tuple[int, str]:
     """Detector-versus-reference agreement battery.
 
-    Every tone is detected both ways; the run passes only if all LLRs
-    agree within 1e-6 and the metric counters obey the model (2M
-    candidate metrics, total at most 4M - 2 sqrt(M)).  Returns (exit
-    status, report text).
+    Every tone is detected both ways; the run passes only if every tone
+    passes the sweep's gate.  The first failing tone is reported, and the
+    run goes on to the end.  Returns (exit status, report text).
     """
     cfg.validate()
     const = build_constellation(cfg.M)
-    ceiling = 4 * cfg.M - 2 * const.real_axis.L
     lines = [
         f"verify M={cfg.M} n_rx={cfg.n_rx} n_tx={cfg.n_tx} tones_per_point={cfg.tones} "
         f"seed={cfg.seed} rho={_fmt(cfg.rho)}"
     ]
     global_max = 0.0
     failure: str | None = None
-    for p_idx, (snr_db, mu) in enumerate(_point_grid(cfg)):
-        sigma2 = sigma2_from_snr_db(snr_db)
+    for (snr_db, mu), tones in _sweep(cfg, const):
         point_max = 0.0
         metric_sum = 0
-        for t_idx in range(cfg.tones):
-            data = _run_tone(tone_rng(cfg.seed, p_idx, t_idx), const, cfg, sigma2, mu)
-            result = detect(data.obs, const, data.llrs)
-            reference = brute_force_maxlog(data.obs, const, data.llrs)
-            disc = float(np.abs(result.llrs - reference).max())
-            point_max = max(point_max, disc)
-            metric_sum += result.total_metric_count
-            count_ok = (
-                result.candidate_metric_count == 2 * cfg.M
-                and result.total_metric_count <= ceiling
-            )
-            if (disc > VERIFY_TOLERANCE or not count_ok) and failure is None:
-                reason = (
-                    f"llr discrepancy {_fmt(disc)}"
-                    if disc > VERIFY_TOLERANCE
-                    else f"metric counts {result.candidate_metric_count}/{result.total_metric_count}"
-                )
-                failure = (
-                    f"FAILURE: {reason}\n"
-                    + _dump_tone(cfg, (snr_db, mu), p_idx, t_idx, data)
-                )
+        for tone in tones:
+            point_max = max(point_max, tone.discrepancy)
+            metric_sum += tone.result.total_metric_count
+            if tone.failure is not None and failure is None:
+                failure = _failure_report(cfg, tone, tone.failure)
         global_max = max(global_max, point_max)
         lines.append(
             f"point snr_db={_fmt(snr_db)} mu={_fmt(mu)}: tones={cfg.tones} "
@@ -250,10 +297,15 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-SIM_CSV_HEADER = (
-    "snr_db,mu,tones,bit_errors_detector,bit_errors_oracle,ber,"
-    "mean_total_metric_count,max_llr_discrepancy_vs_oracle"
-)
+SIM_CSV_HEADER = ",".join(f.name for f in fields(SimRecord))
+
+
+def _csv_row(record: SimRecord) -> str:
+    """One CSV row: integer fields as integers, the rest at 17 digits."""
+    return ",".join(
+        str(getattr(record, f.name)) if f.type == "int" else _fmt(getattr(record, f.name))
+        for f in fields(record)
+    )
 
 
 def run_simulate(cfg: SimConfig) -> tuple[int, list[SimRecord], str]:
@@ -262,63 +314,45 @@ def run_simulate(cfg: SimConfig) -> tuple[int, list[SimRecord], str]:
     Hard decisions come from the detector LLR signs; the exhaustive
     reference runs on every tone as well, so each record carries both
     error counts and the worst LLR discrepancy.  With ``verify_first``
-    (the default) any discrepancy beyond the verification tolerance
-    aborts the sweep with exit status 1, enforcing that simulation
-    results are only produced by a verified detector.  Returns (exit
-    status, records, csv text).
+    (the default) the first tone that fails the sweep's gate aborts the
+    sweep with exit status 1, so simulation results only come from a
+    verified detector; without it the sweep goes on and the discrepancy
+    lands in ``max_llr_discrepancy_vs_oracle``.  Returns (exit status,
+    records, csv text).
     """
     cfg.validate()
     const = build_constellation(cfg.M)
     bits_per_tone = 2 * const.q
     records: list[SimRecord] = []
     lines = [SIM_CSV_HEADER]
-    for p_idx, (snr_db, mu) in enumerate(_point_grid(cfg)):
-        sigma2 = sigma2_from_snr_db(snr_db)
+    for (snr_db, mu), tones in _sweep(cfg, const):
         det_errors = 0
         orc_errors = 0
         metric_sum = 0
         max_disc = 0.0
-        for t_idx in range(cfg.tones):
-            data = _run_tone(tone_rng(cfg.seed, p_idx, t_idx), const, cfg, sigma2, mu)
-            result = detect(data.obs, const, data.llrs)
-            reference = brute_force_maxlog(data.obs, const, data.llrs)
-            disc = float(np.abs(result.llrs - reference).max())
-            max_disc = max(max_disc, disc)
-            if cfg.verify_first and disc > VERIFY_TOLERANCE:
-                dump = (
-                    f"FAILURE: llr discrepancy {_fmt(disc)} exceeds {_fmt(VERIFY_TOLERANCE)}\n"
-                    + _dump_tone(cfg, (snr_db, mu), p_idx, t_idx, data)
-                )
-                return 1, records, dump + "\n"
-            det_errors += int(np.count_nonzero((result.llrs > 0) != data.bits))
-            orc_errors += int(np.count_nonzero((reference > 0) != data.bits))
-            metric_sum += result.total_metric_count
-        total_bits = cfg.tones * bits_per_tone
+        for tone in tones:
+            max_disc = max(max_disc, tone.discrepancy)
+            if cfg.verify_first and tone.failure is not None:
+                reason = tone.failure
+                if tone.discrepancy > VERIFY_TOLERANCE:
+                    reason += f" exceeds {_fmt(VERIFY_TOLERANCE)}"
+                return 1, records, _failure_report(cfg, tone, reason) + "\n"
+            bits = tone.data.bits
+            det_errors += int(np.count_nonzero((tone.result.llrs > 0) != bits))
+            orc_errors += int(np.count_nonzero((tone.reference > 0) != bits))
+            metric_sum += tone.result.total_metric_count
         record = SimRecord(
             snr_db=snr_db,
             mu=mu,
             tones=cfg.tones,
             bit_errors_detector=det_errors,
             bit_errors_oracle=orc_errors,
-            ber=det_errors / total_bits,
+            ber=det_errors / (cfg.tones * bits_per_tone),
             mean_total_metric_count=metric_sum / cfg.tones,
             max_llr_discrepancy_vs_oracle=max_disc,
         )
         records.append(record)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(record.snr_db),
-                    _fmt(record.mu),
-                    str(record.tones),
-                    str(record.bit_errors_detector),
-                    str(record.bit_errors_oracle),
-                    _fmt(record.ber),
-                    _fmt(record.mean_total_metric_count),
-                    _fmt(record.max_llr_discrepancy_vs_oracle),
-                ]
-            )
-        )
+        lines.append(_csv_row(record))
     return 0, records, "\n".join(lines) + "\n"
 
 
@@ -343,11 +377,8 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
         raise UsageError("LLR vector contains NaN")
     llrs = clamp(llr_arr.reshape(2, const.q))
 
-    rng = tone_rng(cfg.seed, 0, 0)
-    Hbar = generate_channel(rng, cfg.n_rx, cfg.n_tx)
     C = noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx)
-    ch = make_channel(Hbar, C)
-    obs = whiten(np.zeros(cfg.n_rx, dtype=complex), ch)
+    obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
     gains = {1: obs.gain1, 2: obs.gain2}
 
     lines = [REGIONS_CSV_HEADER]
@@ -404,19 +435,9 @@ def run_complexity(orders, n_rx: int) -> tuple[str, str]:
     return "\n".join(csv_lines) + "\n", "\n".join(table_lines)
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, kind=float) -> tuple:
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError as err:
-        raise UsageError(f"malformed {flag} list {text!r}: {err}") from None
-    if not values:
-        raise UsageError(f"{flag} list is empty")
-    return values
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as err:
         raise UsageError(f"malformed {flag} list {text!r}: {err}") from None
     if not values:
@@ -462,7 +483,7 @@ def _apply_config_overrides(cfg: SimConfig, overrides: dict[str, str]) -> None:
         attr, kind = _CONFIG_KEYS[key]
         try:
             if kind == "float_list":
-                parsed = _parse_float_list(value, key)
+                parsed = _parse_list(value, key)
             elif kind == "bool":
                 if value.lower() not in ("true", "false", "0", "1"):
                     raise ValueError("expected true/false")
@@ -481,15 +502,14 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
         M=args.M,
         n_rx=args.nr,
         n_tx=args.nt,
+        snr_db_list=_parse_list(args.snr_db, "--snr-db"),
         tones=args.tones,
         seed=args.seed,
         rho=args.rho,
         out=args.out,
     )
-    if getattr(args, "snr_db", None) is not None:
-        cfg.snr_db_list = _parse_float_list(args.snr_db, "--snr-db")
     if getattr(args, "mu", None) is not None:
-        cfg.mu_list = _parse_float_list(args.mu, "--mu")
+        cfg.mu_list = _parse_list(args.mu, "--mu")
     if getattr(args, "verify_first", None) is not None:
         cfg.verify_first = args.verify_first
     if args.config:
@@ -506,21 +526,6 @@ def _write_out(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--M", type=int, default=16, help="constellation order")
-    sub.add_argument("--nr", type=int, default=2, help="receive antennas")
-    sub.add_argument("--nt", type=int, default=2, help="transmit antennas")
-    sub.add_argument("--tones", type=int, default=1000, help="tones per grid point")
-    sub.add_argument("--seed", type=int, default=1, help="master RNG seed")
-    sub.add_argument(
-        "--rho", type=float, default=0.0, help="noise correlation coefficient"
-    )
-    sub.add_argument("--out", type=str, default=None, help="output file path")
-    sub.add_argument(
-        "--config", type=str, default=None, help="key=value file overriding flags"
-    )
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every ``main``.
@@ -535,27 +540,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = subs.add_parser(
-        "verify", help="check detector against the exhaustive reference"
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--M", type=int, default=16, help="constellation order")
+    common.add_argument("--nr", type=int, default=2, help="receive antennas")
+    common.add_argument("--nt", type=int, default=2, help="transmit antennas")
+    common.add_argument("--tones", type=int, default=1000, help="tones per grid point")
+    common.add_argument("--seed", type=int, default=1, help="master RNG seed")
+    common.add_argument(
+        "--rho", type=float, default=0.0, help="noise correlation coefficient"
     )
-    _add_common_flags(p_verify)
-    p_verify.add_argument("--snr-db", type=str, default="10", help="comma list of SNRs")
-    p_verify.add_argument("--mu", type=str, default="0", help="comma list of mu values")
+    common.add_argument("--out", type=str, default=None, help="output file path")
+    common.add_argument(
+        "--config", type=str, default=None, help="key=value file overriding flags"
+    )
+    common.add_argument("--snr-db", type=str, default="10", help="comma list of SNRs")
+    mu = argparse.ArgumentParser(add_help=False)
+    mu.add_argument("--mu", type=str, default="0", help="comma list of mu values")
 
-    p_sim = subs.add_parser("simulate", help="Monte-Carlo BER sweep")
-    _add_common_flags(p_sim)
-    p_sim.add_argument("--snr-db", type=str, default="10", help="comma list of SNRs")
-    p_sim.add_argument("--mu", type=str, default="0", help="comma list of mu values")
+    subs.add_parser(
+        "verify",
+        parents=[common, mu],
+        help="check detector against the exhaustive reference",
+    )
+
+    p_sim = subs.add_parser("simulate", parents=[common, mu], help="Monte-Carlo BER sweep")
     p_sim.add_argument(
         "--verify-first",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="abort with exit 1 if any tone disagrees with the reference",
+        help="exit 1 at the first tone that fails the check against the "
+        "reference (default); --no-verify-first goes on and reports the "
+        "worst LLR discrepancy in max_llr_discrepancy_vs_oracle",
     )
 
-    p_reg = subs.add_parser("regions", help="dump prior-shifted interval tables")
-    _add_common_flags(p_reg)
-    p_reg.add_argument("--snr-db", type=str, default="10", help="comma list of SNRs")
+    p_reg = subs.add_parser(
+        "regions", parents=[common], help="dump prior-shifted interval tables"
+    )
     p_reg.add_argument(
         "--llr",
         type=str,
@@ -592,12 +612,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "regions":
             cfg = _config_from_args(args)
-            llr_values = _parse_float_list(args.llr, "--llr")
+            llr_values = _parse_list(args.llr, "--llr")
             text = run_regions(cfg, llr_values)
             _write_out(cfg.out, text)
             return 0
         if args.command == "complexity":
-            orders = _parse_int_list(args.M, "--M")
+            orders = _parse_list(args.M, "--M", int)
             try:
                 csv_text, table_text = run_complexity(orders, args.nr)
             except ValueError as err:

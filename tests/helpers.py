@@ -4,17 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sisodet import (
-    DecisionRegions,
-    bits_to_symbol,
-    generate_channel,
-    generate_noise,
-    genie_priors,
-    make_channel,
-    transmit,
-    whiten,
-)
-from sisodet.simcli import noise_covariance, sigma2_from_snr_db
+from sisodet import DecisionRegions
+from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
 from sisodet.slicer import _logp_array
 
 
@@ -34,16 +25,23 @@ def random_tone(
     mu: float = 0.0,
 ):
     """One random transmission: returns (obs, llrs, bits, channel, y, C)."""
-    Hbar = generate_channel(rng, n_rx, n_tx)
     C = noise_covariance(sigma2_from_snr_db(snr_db), rho, n_rx)
-    ch = make_channel(Hbar, C)
-    bits = rng.integers(0, 2, size=(2, const.q))
-    s = np.array([bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])])
-    n = generate_noise(rng, C)
-    y = transmit(s, ch, n)
-    obs = whiten(y, ch)
-    llrs = genie_priors(rng, bits, mu)
-    return obs, llrs, bits, ch, y, C
+    tone = draw_tone(rng, const, C, mu, n_tx)
+    return tone.obs, tone.llrs, tone.bits, tone.channel, tone.y, C
+
+
+def pair_metric_table_reference(obs, c, llrs) -> np.ndarray:
+    """The oracle's pair table with the antenna axis last: the reference
+    for ``oracle.pair_metric_table``."""
+    prior1 = c.bit_weights @ llrs.values[0]
+    prior2 = c.bit_weights @ llrs.values[1]
+    r = (
+        obs.y[None, None, :]
+        - c.symbols[:, None, None] * obs.h1[None, None, :]
+        - c.symbols[None, :, None] * obs.h2[None, None, :]
+    )
+    energy = np.sum(np.abs(r) ** 2, axis=2)
+    return prior1[:, None] + prior2[None, :] - energy
 
 
 def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:

@@ -15,7 +15,7 @@ from sisodet import (
     uniform_priors,
     whiten,
 )
-from helpers import random_tone
+from helpers import pair_metric_table_reference, random_tone
 
 
 class TestBruteForce:
@@ -55,6 +55,43 @@ class TestBruteForce:
         a = brute_force_maxlog(obs, const, llrs)
         b = brute_force_maxlog(obs, const, llrs)
         np.testing.assert_array_equal(a, b)
+
+
+class TestPairMetricTable:
+    @pytest.mark.parametrize("n_rx", range(2, 8))
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_bit_identical_to_reference(self, M, n_rx):
+        """Up to 7 antennas the antenna-first sum rounds exactly as the
+        antenna-last reference does."""
+        rng = np.random.default_rng([63, M, n_rx])
+        const = build_constellation(M)
+        for t in range(60 if M < 256 else 10):
+            obs, llrs, _, _, _, _ = random_tone(
+                rng, const, n_rx=n_rx, snr_db=rng.uniform(-10.0, 40.0),
+                rho=0.5, mu=(0.0, 4.0)[t % 2],
+            )
+            np.testing.assert_array_equal(
+                pair_metric_table(obs, const, llrs),
+                pair_metric_table_reference(obs, const, llrs),
+            )
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_eight_antennas_within_summation_error(self, M):
+        """From 8 antennas numpy sums in another order.  With uniform
+        priors the table is minus the energy, a sum of N_r nonnegative
+        terms, and each order is within (N_r - 1) eps of the exact sum."""
+        n_rx = 8
+        rng = np.random.default_rng([64, M])
+        const = build_constellation(M)
+        priors = uniform_priors(const.q)
+        for _ in range(20):
+            obs, _, _, _, _, _ = random_tone(
+                rng, const, n_rx=n_rx, snr_db=rng.uniform(-10.0, 40.0), rho=0.5
+            )
+            ref = pair_metric_table_reference(obs, const, priors)
+            got = pair_metric_table(obs, const, priors)
+            bound = 2 * (n_rx - 1) * np.finfo(float).eps * np.abs(ref)
+            assert np.all(np.abs(got - ref) <= bound)
 
 
 class TestLogMap:

@@ -14,8 +14,9 @@ from sisodet.simcli import (
     SimConfig,
     UsageError,
     _build_parser,
-    _run_tone,
+    draw_tone,
     main,
+    noise_covariance,
     run_regions,
     run_simulate,
     run_verify,
@@ -68,7 +69,8 @@ class TestRunSimulate:
         sigma2 = sigma2_from_snr_db(8.0)
         errors = 0
         for t in range(cfg.tones):
-            data = _run_tone(tone_rng(cfg.seed, 0, t), const, cfg, sigma2, 0.0)
+            C = noise_covariance(sigma2, cfg.rho, cfg.n_rx)
+            data = draw_tone(tone_rng(cfg.seed, 0, t), const, C, 0.0, cfg.n_tx)
             result = detect(data.obs, const, uniform_priors(const.q))
             errors += int(np.sum((result.llrs > 0).astype(int) != data.bits))
         assert records[0].bit_errors_detector == errors
@@ -355,3 +357,60 @@ class TestConfigValidation:
         np.testing.assert_allclose(
             float(row[5]), pairwise_boundary(pam, 0, 1, np.zeros(4), 1.0)
         )
+
+
+class TestSnrRange:
+    @pytest.mark.parametrize("snr", ["-100", "300"])
+    def test_ends_verify(self, snr, capsys):
+        argv = ["verify", "--M", "64", "--tones", "10", f"--snr-db={snr}", "--mu", "0,16", "--rho", "0.5"]
+        assert main(argv) == 0
+        assert "RESULT: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("snr", ["-100.001", "300.001", "5000"])
+    def test_outside_rejected_by_flag(self, snr, capsys):
+        assert main(["verify", "--tones", "2", f"--snr-db=10,{snr}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_db (--snr-db)")
+        assert "[-100, 300] dB" in err
+
+    @pytest.mark.parametrize("snr", ["-100.001", "300.001"])
+    def test_outside_rejected_by_config(self, snr, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text(f"snr_db = {snr}\n")
+        assert main(["simulate", "--tones", "2", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: snr_db (--snr-db)")
+
+
+class TestSharedSweep:
+    def test_verify_points_match_simulate_rows(self):
+        """Both subcommands report the same tones with the same numbers."""
+        cfg = dict(M=16, tones=40, snr_db_list=(0.0, 12.0), mu_list=(0.0, 4.0), rho=0.5)
+        _, report = run_verify(small_config(**cfg))
+        _, _, text = run_simulate(small_config(**cfg))
+        verify_points = [
+            {k: v for k, v in (f.split("=") for f in line.split() if "=" in f)}
+            for line in report.splitlines()
+            if line.startswith("point ")
+        ]
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(verify_points) == len(rows) == 4
+        for point, row in zip(verify_points, rows):
+            assert point["max_llr_discrepancy"] == row[7]
+            assert point["mean_total_metric_count"] == row[6]
+
+    def test_wrong_boundary_count_fails_simulate(self, monkeypatch, capsys):
+        """Counters off the model fail simulate's gate as they fail verify's."""
+        import sisodet.simcli as cli
+
+        def overcounting_detect(obs, const, llrs):
+            result = sisodet.detect(obs, const, llrs)
+            result.boundary_count = 4 * const.M
+            result.total_metric_count = result.candidate_metric_count + result.boundary_count
+            return result
+
+        monkeypatch.setattr(cli, "detect", overcounting_detect)
+        assert main(["simulate", "--M", "16", "--tones", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("FAILURE: metric counts 32/96\n")
+        assert "offending tone: point_index=0 tone_index=0" in captured.err

@@ -9,7 +9,6 @@ what makes agreement between the two paths meaningful.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import WhitenedObservation
 from .constellation import Constellation
@@ -63,6 +62,13 @@ def brute_force_maxlog(
     return out
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` over all entries, shifted by the largest entry
+    so that no term overflows and the largest contributes exactly 1."""
+    m = a.max()
+    return m + np.log(np.exp(a - m).sum())
+
+
 def log_map(
     obs: WhitenedObservation,
     c: Constellation,
@@ -82,9 +88,9 @@ def log_map(
     out = np.empty((2, c.q))
     for n in range(c.q):
         out[0, n] = (
-            logsumexp(table[mask[:, n], :]) - logsumexp(table[~mask[:, n], :])
+            _logsumexp(table[mask[:, n], :]) - _logsumexp(table[~mask[:, n], :])
         ) / temperature
         out[1, n] = (
-            logsumexp(table[:, mask[:, n]]) - logsumexp(table[:, ~mask[:, n]])
+            _logsumexp(table[:, mask[:, n]]) - _logsumexp(table[:, ~mask[:, n]])
         ) / temperature
     return out

@@ -81,13 +81,22 @@ def axis_log_priors(
 
     Bits ``0 .. q/2-1`` of a layer address the real axis, bits
     ``q/2 .. q-1`` the imaginary axis.
+
+    Raises:
+        ValueError: If ``layer`` or ``axis`` is not one of its two values,
+            or the LLR rows are not twice as wide as the axis labels.
     """
     if layer not in (1, 2):
         raise ValueError(f"layer must be 1 or 2, got {layer}")
     if axis not in ("real", "imag"):
         raise ValueError(f"axis must be 'real' or 'imag', got {axis!r}")
     row = llrs.values[layer - 1]
-    half_q = row.size // 2
+    half_q = pam.labels.shape[1]
+    if row.size != 2 * half_q:
+        raise ValueError(
+            f"LLR rows of width {row.size} do not fit a {pam.L}-level axis, "
+            f"which needs rows of width {2 * half_q} ({half_q} bits per axis)"
+        )
     bit_slice = row[:half_q] if axis == "real" else row[half_q:]
     logp = pam.bit_weights.dot(bit_slice)
     logp.flags.writeable = False

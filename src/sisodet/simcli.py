@@ -476,10 +476,19 @@ _CONFIG_KEYS = {
 }
 
 
-def _apply_config_overrides(cfg: SimConfig, overrides: dict[str, str]) -> None:
+def _apply_config_overrides(
+    cfg: SimConfig, overrides: dict[str, str], args: argparse.Namespace
+) -> None:
+    """Set the config file's keys on ``cfg``.
+
+    Each key is named after its flag, so a subcommand takes exactly the
+    keys of the flags it declares; any other key is a usage error.
+    """
     for key, value in overrides.items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
+        if not hasattr(args, key):
+            raise UsageError(f"config key {key!r} is not used by {args.command}")
         attr, kind = _CONFIG_KEYS[key]
         try:
             if kind == "float_list":
@@ -503,17 +512,17 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
         n_rx=args.nr,
         n_tx=args.nt,
         snr_db_list=_parse_list(args.snr_db, "--snr-db"),
-        tones=args.tones,
         seed=args.seed,
         rho=args.rho,
         out=args.out,
     )
-    if getattr(args, "mu", None) is not None:
+    if hasattr(args, "tones"):  # the sweep flags, declared together
+        cfg.tones = args.tones
         cfg.mu_list = _parse_list(args.mu, "--mu")
-    if getattr(args, "verify_first", None) is not None:
+    if hasattr(args, "verify_first"):
         cfg.verify_first = args.verify_first
     if args.config:
-        _apply_config_overrides(cfg, load_config_file(args.config))
+        _apply_config_overrides(cfg, load_config_file(args.config), args)
     cfg.validate()
     return cfg
 
@@ -540,30 +549,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--M", type=int, default=16, help="constellation order")
-    common.add_argument("--nr", type=int, default=2, help="receive antennas")
-    common.add_argument("--nt", type=int, default=2, help="transmit antennas")
-    common.add_argument("--tones", type=int, default=1000, help="tones per grid point")
-    common.add_argument("--seed", type=int, default=1, help="master RNG seed")
-    common.add_argument(
-        "--rho", type=float, default=0.0, help="noise correlation coefficient"
-    )
-    common.add_argument("--out", type=str, default=None, help="output file path")
-    common.add_argument(
-        "--config", type=str, default=None, help="key=value file overriding flags"
-    )
-    common.add_argument("--snr-db", type=str, default="10", help="comma list of SNRs")
-    mu = argparse.ArgumentParser(add_help=False)
-    mu.add_argument("--mu", type=str, default="0", help="comma list of mu values")
+    def tone_flags(sweep: bool) -> argparse.ArgumentParser:
+        """The flags that set up tones, in the order usage and help print
+        them.  ``--tones`` and ``--mu`` belong to the sweep of verify and
+        simulate only: regions draws one fixed tone."""
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--M", type=int, default=16, help="constellation order")
+        flags.add_argument("--nr", type=int, default=2, help="receive antennas")
+        flags.add_argument("--nt", type=int, default=2, help="transmit antennas")
+        if sweep:
+            flags.add_argument("--tones", type=int, default=1000, help="tones per grid point")
+        flags.add_argument("--seed", type=int, default=1, help="master RNG seed")
+        flags.add_argument(
+            "--rho", type=float, default=0.0, help="noise correlation coefficient"
+        )
+        flags.add_argument("--out", type=str, default=None, help="output file path")
+        flags.add_argument(
+            "--config", type=str, default=None, help="key=value file overriding flags"
+        )
+        flags.add_argument("--snr-db", type=str, default="10", help="comma list of SNRs")
+        if sweep:
+            flags.add_argument("--mu", type=str, default="0", help="comma list of mu values")
+        return flags
+
+    sweep = tone_flags(sweep=True)
 
     subs.add_parser(
         "verify",
-        parents=[common, mu],
+        parents=[sweep],
         help="check detector against the exhaustive reference",
     )
 
-    p_sim = subs.add_parser("simulate", parents=[common, mu], help="Monte-Carlo BER sweep")
+    p_sim = subs.add_parser("simulate", parents=[sweep], help="Monte-Carlo BER sweep")
     p_sim.add_argument(
         "--verify-first",
         action=argparse.BooleanOptionalAction,
@@ -574,7 +591,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_reg = subs.add_parser(
-        "regions", parents=[common], help="dump prior-shifted interval tables"
+        "regions",
+        parents=[tone_flags(sweep=False)],
+        help="dump prior-shifted interval tables",
     )
     p_reg.add_argument(
         "--llr",

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import logsumexp
 
-from sisodet import DecisionRegions
+from sisodet import DecisionRegions, pair_metric_table
 from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
 from sisodet.slicer import _logp_array
 
@@ -42,6 +43,22 @@ def pair_metric_table_reference(obs, c, llrs) -> np.ndarray:
     )
     energy = np.sum(np.abs(r) ** 2, axis=2)
     return prior1[:, None] + prior2[None, :] - energy
+
+
+def log_map_reference(obs, c, llrs, temperature: float = 1.0) -> np.ndarray:
+    """``log_map`` through scipy's ``logsumexp``: the reference for the
+    package's numpy-only log-sum-exp."""
+    table = temperature * pair_metric_table(obs, c, llrs)
+    mask = c.bit_mask
+    out = np.empty((2, c.q))
+    for n in range(c.q):
+        out[0, n] = (
+            logsumexp(table[mask[:, n], :]) - logsumexp(table[~mask[:, n], :])
+        ) / temperature
+        out[1, n] = (
+            logsumexp(table[:, mask[:, n]]) - logsumexp(table[:, ~mask[:, n]])
+        ) / temperature
+    return out
 
 
 def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:

@@ -15,7 +15,8 @@ from sisodet import (
     uniform_priors,
     whiten,
 )
-from helpers import pair_metric_table_reference, random_tone
+from sisodet.oracle import _logsumexp
+from helpers import log_map_reference, pair_metric_table_reference, random_tone
 
 
 class TestBruteForce:
@@ -151,3 +152,52 @@ class TestLogMap:
         obs, llrs, _, _, _, _ = random_tone(rng, const)
         with pytest.raises(ValueError):
             log_map(obs, const, llrs, temperature=0.0)
+
+
+class TestLogMapDifferential:
+    """The numpy-only log-sum-exp against scipy's ``logsumexp``, within
+    1e-12 of the larger of 1 and the reference's largest magnitude."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        bound = 1e-12 * max(1.0, float(np.abs(ref).max()))
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - ref).max() <= bound
+
+    @pytest.mark.parametrize("temperature", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_matches_scipy_reference(self, M, temperature):
+        rng = np.random.default_rng([67, M])
+        const = build_constellation(M)
+        snrs = (0.0, 30.0, 60.0, 120.0) if M < 256 else (0.0, 120.0)
+        for snr_db in snrs:
+            for rho in (0.0, 0.5):
+                for mu in (0.0, 4.0, 16.0):
+                    obs, llrs, _, _, _, _ = random_tone(
+                        rng, const, snr_db=snr_db, rho=rho, mu=mu
+                    )
+                    self.assert_close(
+                        log_map(obs, const, llrs, temperature),
+                        log_map_reference(obs, const, llrs, temperature),
+                    )
+
+    def test_single_dominant_pair(self):
+        """A noiseless tone at 60 dB: one pair leads every other by more
+        than 1e3 nats, so the rest underflow to nothing beside it."""
+        const = build_constellation(16)
+        ch = make_channel(
+            np.array([[1.0, 0.3], [0.2, 1.0]], dtype=complex), np.eye(2) * 1e-6
+        )
+        obs = whiten(transmit(const.symbols[[5, 10]], ch, np.zeros(2)), ch)
+        llrs = uniform_priors(const.q)
+        table = np.sort(pair_metric_table(obs, const, llrs), axis=None)
+        assert table[-1] - table[-2] > 1e3
+        got = log_map(obs, const, llrs)
+        self.assert_close(got, log_map_reference(obs, const, llrs))
+        self.assert_close(got, brute_force_maxlog(obs, const, llrs))
+
+    def test_helper_shift_keeps_the_max_exact(self):
+        a = np.array([[0.5, -2e3], [-5e3, -1e300]])
+        assert _logsumexp(a) == 0.5 == logsumexp(a)
+        # A naive exp would overflow; log 2 is below one ulp of 1e300.
+        assert _logsumexp(np.array([1e300, 1e300])) == 1e300

@@ -71,6 +71,15 @@ class TestAxisLogPriors:
         expected = c.imag_axis.labels.astype(float) @ np.array([3.0, 4.0])
         np.testing.assert_array_equal(out.logp, expected)
 
+    @pytest.mark.parametrize("axis", ["real", "imag"])
+    @pytest.mark.parametrize("width", [2, 5, 6, 8])
+    def test_llr_width_mismatch_named(self, width, axis):
+        """Rows of another width fail naming both widths, not with a numpy
+        shape error; width 5 used to pass silently on the real axis."""
+        pam = getattr(build_constellation(16), f"{axis}_axis")
+        with pytest.raises(ValueError, match=rf"width {width} .* width 4 "):
+            axis_log_priors(clamp(np.zeros((2, width))), 1, axis, pam)
+
     @pytest.mark.parametrize("M", [4, 16, 64])
     def test_matches_sigmoid_product_marginals(self, M):
         """exp-normalized logp equals the product of per-bit probabilities."""

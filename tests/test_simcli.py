@@ -224,6 +224,60 @@ class TestMainCli:
         assert main(["verify", "--config", str(config)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--tones", "7"], ["--mu", "4"]])
+    def test_regions_rejects_sweep_flags(self, flag, capsys):
+        """`regions` draws one fixed tone, so the sweep flags are usage errors."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["regions", "--M", "16", "--llr", "0,0,0,0,0,-45,0,0", *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_verify_rejects_verify_first_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--tones", "2", "--no-verify-first"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --no-verify-first" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["regions", "--M", "16", "--llr", "0,0,0,0,0,-45,0,0"], "tones = 7"),
+            (["regions", "--M", "16", "--llr", "0,0,0,0,0,-45,0,0"], "mu = 4"),
+            (["regions", "--M", "16", "--llr", "0,0,0,0,0,-45,0,0"], "verify_first = false"),
+            (["verify", "--tones", "2"], "verify_first = false"),
+        ],
+    )
+    def test_config_key_unused_by_subcommand_exit_two(self, command, line, tmp_path, capsys):
+        """A config key without a flag on the subcommand is a usage error
+        naming the key and the subcommand, not silently ignored."""
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert main([*command, "--config", str(config)]) == 2
+        key = line.split(" = ")[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config key {key!r} is not used by {command[0]}\n"
+
+    @pytest.mark.parametrize(
+        "argv, lines, flags",
+        [
+            (["verify", "--M", "4"], "tones = 3\nmu = 0, 4\nseed = 5\n",
+             ["--tones", "3", "--mu", "0,4", "--seed", "5"]),
+            (["simulate", "--M", "4"], "tones = 3\nmu = 0, 4\nverify_first = false\n",
+             ["--tones", "3", "--mu", "0,4", "--no-verify-first"]),
+            (["regions", "--llr", "0,0,0,0,0,-45,0,0"], "M = 16\nseed = 5\nsnr_db = 3\nrho = 0.5\n",
+             ["--M", "16", "--seed", "5", "--snr-db", "3", "--rho", "0.5"]),
+        ],
+    )
+    def test_config_keys_used_by_subcommand_match_flags(self, argv, lines, flags, tmp_path, capsys):
+        """Every key a subcommand uses gives the same output as its flag."""
+        config = tmp_path / "run.cfg"
+        config.write_text(lines)
+        assert main([*argv, "--config", str(config)]) == 0
+        from_config = capsys.readouterr()
+        assert main([*argv, *flags]) == 0
+        assert capsys.readouterr() == from_config
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -8,12 +8,8 @@ entirely).
 
 import numpy as np
 
-from sisodet import (
-    argmax_slice_oracle,
-    build_constellation,
-    build_regions,
-    slice_statistic,
-)
+from sisodet import build_constellation, build_regions, slice_statistic
+from sisodet.oracle import argmax_slice_oracle
 
 const = build_constellation(16)
 pam = const.real_axis

@@ -3,9 +3,11 @@
 The fast detector turns the per-layer inner maximization into a slicing
 operation with prior-shifted thresholds, so its per-tone cost is linear
 in the constellation size while its bit LLRs match an exhaustive
-pairwise max-log search exactly.  Exhaustive references, a closed-form
-operation-count model, and a Monte-Carlo CLI harness round out the
-package.
+pairwise max-log search exactly.  A closed-form operation-count model
+and a Monte-Carlo CLI harness round out the package.  The exported names
+are what a receiver needs, plus the exhaustive max-log search the CLI
+gates on; every other reference the tests compare against lives in
+``sisodet.oracle``.
 """
 
 from .channel import (
@@ -18,12 +20,7 @@ from .channel import (
     transmit,
     whiten,
 )
-from .complexity import (
-    ComplexityEstimate,
-    MetricCountComparison,
-    measured_vs_predicted,
-    predicted_counts,
-)
+from .complexity import ComplexityEstimate, predicted_counts
 from .constellation import (
     Constellation,
     PamAxis,
@@ -31,51 +28,34 @@ from .constellation import (
     build_constellation,
     symbol_to_bits,
 )
-from .detector import (
-    DetectionResult,
-    candidate_metric,
-    detect,
-    llrs_from_metrics,
-    residual_statistic,
-)
-from .numerics import cholesky_factor, quadratic_norm
-from .oracle import brute_force_maxlog, log_map, pair_metric_table
+from .detector import DetectionResult, detect, llrs_from_metrics
+from .numerics import cholesky_factor
+from .oracle import brute_force_maxlog
 from .priors import (
     AprioriLLRs,
-    AxisLogPriors,
     axis_log_priors,
     clamp,
     genie_priors,
     uniform_priors,
 )
-from .slicer import (
-    DecisionRegions,
-    argmax_slice_oracle,
-    build_regions,
-    pairwise_boundary,
-    slice_statistic,
-)
+from .slicer import DecisionRegions, build_regions, slice_statistic
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AprioriLLRs",
-    "AxisLogPriors",
     "ChannelRealization",
     "ComplexityEstimate",
     "Constellation",
     "DecisionRegions",
     "DetectionResult",
-    "MetricCountComparison",
     "PamAxis",
     "WhitenedObservation",
-    "argmax_slice_oracle",
     "axis_log_priors",
     "bits_to_symbol",
     "brute_force_maxlog",
     "build_constellation",
     "build_regions",
-    "candidate_metric",
     "cholesky_factor",
     "clamp",
     "default_precoder",
@@ -83,15 +63,9 @@ __all__ = [
     "generate_channel",
     "generate_noise",
     "genie_priors",
-    "log_map",
     "llrs_from_metrics",
     "make_channel",
-    "measured_vs_predicted",
-    "pair_metric_table",
-    "pairwise_boundary",
     "predicted_counts",
-    "quadratic_norm",
-    "residual_statistic",
     "slice_statistic",
     "symbol_to_bits",
     "transmit",

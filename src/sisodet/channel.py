@@ -69,9 +69,9 @@ def make_channel(
     whitener factors.
 
     Raises:
-        ValueError: If the shapes do not match, the channel or precoder
-            has a non-finite entry, or the covariance is not finite and
-            Hermitian.
+        ValueError: If the shapes do not match (the precoder must be
+            ``(N_t, 2)``), the channel or precoder has a non-finite
+            entry, or the covariance is not finite and Hermitian.
         LinAlgError: If the covariance is not positive definite.
     """
     Hbar = np.asarray(physical_channel, dtype=complex)
@@ -89,6 +89,11 @@ def make_channel(
     if precoder is None:
         precoder = default_precoder(Hbar.shape[1])
     W = np.asarray(precoder, dtype=complex)
+    if W.shape != (Hbar.shape[1], 2):
+        raise ValueError(
+            f"precoder must be ({Hbar.shape[1]}, 2) for a channel of shape "
+            f"{Hbar.shape}, got shape {W.shape}"
+        )
     if not all(map(cmath.isfinite, W.ravel().tolist())):
         raise ValueError("precoder contains non-finite values")
     cholesky_factor(C)  # reject non-PD covariances early, with the pivot named
@@ -103,11 +108,22 @@ def make_channel(
 
 
 def transmit(s, ch: ChannelRealization, n) -> np.ndarray:
-    """Received vector h1*s1 + h2*s2 + n for one tone."""
+    """Received vector h1*s1 + h2*s2 + n for one tone.
+
+    Raises:
+        ValueError: If ``s`` is not two symbols or ``n`` does not have one
+            entry per receive antenna.
+    """
     s = np.asarray(s, dtype=complex).ravel()
     if s.size != 2:
         raise ValueError("expected exactly two layer symbols")
-    return ch.effective_channel @ s + np.asarray(n, dtype=complex).ravel()
+    n = np.asarray(n, dtype=complex).ravel()
+    n_rx = ch.effective_channel.shape[0]
+    if n.size != n_rx:
+        raise ValueError(
+            f"noise has {n.size} entries, the channel has {n_rx} receive antennas"
+        )
+    return ch.effective_channel @ s + n
 
 
 def whiten(y, ch: ChannelRealization) -> WhitenedObservation:

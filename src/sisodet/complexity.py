@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .constellation import require_valid_order
-from .detector import DetectionResult
 
 DETECTOR_KINDS = ("proposed", "tlord", "brute")
 
@@ -30,15 +29,6 @@ class ComplexityEstimate:
     metrics: int
     real_muls: int
     real_adds: int
-
-
-@dataclass(frozen=True)
-class MetricCountComparison:
-    """Measured metric total for one tone against the model ceiling."""
-
-    measured_total: int
-    predicted_total: int
-    pruning_slack: int
 
 
 def predicted_counts(kind: str, M: int, n_rx: int) -> ComplexityEstimate:
@@ -70,19 +60,4 @@ def predicted_counts(kind: str, M: int, n_rx: int) -> ComplexityEstimate:
         metrics=metrics,
         real_muls=muls,
         real_adds=adds,
-    )
-
-
-def measured_vs_predicted(result: DetectionResult, M: int) -> MetricCountComparison:
-    """Compare one detection's measured metric total to the model ceiling.
-
-    The slack is the number of slicing thresholds the empty-region skip
-    avoided; it is zero whenever no amplitude was pruned.
-    """
-    require_valid_order(M)
-    predicted = 4 * M - 2 * isqrt(M)
-    return MetricCountComparison(
-        measured_total=result.total_metric_count,
-        predicted_total=predicted,
-        pruning_slack=predicted - result.total_metric_count,
     )

@@ -41,51 +41,6 @@ class DetectionResult:
     total_metric_count: int
 
 
-def residual_statistic(obs: WhitenedObservation, layer: int, symbol: complex) -> complex:
-    """Partial residual projected onto the other layer's signature.
-
-    Cancels ``symbol`` from the given layer and projects what remains
-    onto the other layer, normalized by that layer's gain; slicing the
-    real and imaginary parts of the result yields the best partner
-    amplitudes.
-    """
-    if layer == 1:
-        h_own, h_other, gain = obs.h1, obs.h2, obs.gain2
-    elif layer == 2:
-        h_own, h_other, gain = obs.h2, obs.h1, obs.gain1
-    else:
-        raise ValueError(f"layer must be 1 or 2, got {layer}")
-    return complex(np.vdot(h_other, obs.y - h_own * symbol) / gain)
-
-
-def candidate_metric(
-    obs: WhitenedObservation,
-    c: Constellation,
-    llrs: AprioriLLRs,
-    enum_index: int,
-    sliced_index: int,
-    layer: int,
-) -> float:
-    """Joint log-prior sum minus residual energy for one candidate pair.
-
-    ``enum_index`` is the enumerated symbol of ``layer``; ``sliced_index``
-    the partner symbol chosen for the other layer.
-    """
-    s_enum = c.symbols[enum_index]
-    s_sliced = c.symbols[sliced_index]
-    b_enum = c.bit_weights[enum_index]
-    b_sliced = c.bit_weights[sliced_index]
-    if layer == 1:
-        prior = b_enum @ llrs.values[0] + b_sliced @ llrs.values[1]
-        r = obs.y - obs.h1 * s_enum - obs.h2 * s_sliced
-    elif layer == 2:
-        prior = b_sliced @ llrs.values[0] + b_enum @ llrs.values[1]
-        r = obs.y - obs.h1 * s_sliced - obs.h2 * s_enum
-    else:
-        raise ValueError(f"layer must be 1 or 2, got {layer}")
-    return float(prior - np.vdot(r, r).real)
-
-
 def llrs_from_metrics(metrics, split_mask) -> np.ndarray:
     """Per-bit LLRs: best metric with the bit set minus best with it clear.
 
@@ -164,8 +119,8 @@ def detect(
     x1.imag[1] = pam_i.points[b1]
     energy = (np.abs(y - x1[:, :, None] * h1 - x2[:, :, None] * h2) ** 2).sum(axis=2)
 
-    partner_prior_2 = lp2_re.logp[a2] + lp2_im.logp[b2]
-    partner_prior_1 = lp1_re.logp[a1] + lp1_im.logp[b1]
+    partner_prior_2 = lp2_re[a2] + lp2_im[b2]
+    partner_prior_1 = lp1_re[a1] + lp1_im[b1]
     enum_prior_1 = c.bit_weights.dot(llrs.values[0])
     enum_prior_2 = c.bit_weights.dot(llrs.values[1])
     eta1 = enum_prior_1 + partner_prior_2 - energy[0]

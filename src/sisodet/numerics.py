@@ -1,4 +1,4 @@
-"""Small dense complex linear algebra for whitening and metric checks.
+"""Small dense complex linear algebra for whitening.
 
 All vectors and matrices are complex128 numpy arrays.  Sizes stay at
 receiver scale (a handful of antennas), so clarity beats asymptotics.
@@ -69,21 +69,3 @@ def cholesky_factor(Q) -> np.ndarray:
                 dot += Gi[k] * Gj[k].conjugate()
             Gi[j] = (rows[i][j] - dot) * inv_d
     return np.array(G, dtype=complex).reshape(n, n)
-
-
-def quadratic_norm(x, Q) -> float:
-    """Hermitian quadratic form x^H Q x as a nonnegative real.
-
-    The imaginary residue of the form must be negligible (it is zero in
-    exact arithmetic for Hermitian Q); otherwise a ValueError is raised.
-    """
-    x = np.asarray(x, dtype=complex).ravel()
-    Q = np.asarray(Q, dtype=complex)
-    if Q.shape != (x.size, x.size):
-        raise ValueError(
-            f"dimension mismatch: vector of size {x.size}, matrix {Q.shape}"
-        )
-    value = complex(np.vdot(x, Q @ x))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"quadratic form has imaginary residue {value.imag:.3e}")
-    return value.real

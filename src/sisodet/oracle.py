@@ -1,9 +1,15 @@
-"""Exhaustive reference detectors for ground-truth comparisons.
+"""Reference computations the fast detector is tested against.
 
-Both references enumerate all M**2 symbol pairs directly from the
-whitened observation; they share the constellation and labeling with the
-fast detector but none of its slicing or projection machinery, which is
-what makes agreement between the two paths meaningful.
+None of these runs on the receiver path; the tests, the ``verify`` and
+``simulate`` gates and the demos compare the detector with them.
+
+The two exhaustive detectors enumerate all M**2 symbol pairs directly
+from the whitened observation; they share the constellation and labeling
+with the fast detector but none of its slicing or projection machinery,
+which is what makes agreement between the two paths meaningful.  The
+per-candidate references evaluate one projected residual, one joint
+metric, one slicing threshold or one slicing decision by its defining
+formula.
 """
 
 from __future__ import annotations
@@ -11,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import WhitenedObservation
-from .constellation import Constellation
+from .constellation import Constellation, PamAxis
 from .priors import AprioriLLRs, check_llr_shape
+from .slicer import _logp_array
 
 
 def pair_metric_table(
@@ -37,15 +44,11 @@ def pair_metric_table(
 
 
 def brute_force_maxlog(
-    obs: WhitenedObservation,
-    c: Constellation,
-    llrs: AprioriLLRs,
-    with_count: bool = False,
-):
+    obs: WhitenedObservation, c: Constellation, llrs: AprioriLLRs
+) -> np.ndarray:
     """Max-log bit LLRs by exhaustive search over all M**2 symbol pairs.
 
-    Returns the (2, q) LLR array; with ``with_count`` also returns the
-    number of joint metrics evaluated (always M**2).
+    Returns the (2, q) LLR array.
     """
     table = pair_metric_table(obs, c, llrs)
     best_given_1 = table.max(axis=1)
@@ -57,8 +60,6 @@ def brute_force_maxlog(
         out[row] = np.where(mask, stacked, -np.inf).max(axis=0) - np.where(
             mask, -np.inf, stacked
         ).max(axis=0)
-    if with_count:
-        return out, table.size
     return out
 
 
@@ -94,3 +95,101 @@ def log_map(
             _logsumexp(table[:, mask[:, n]]) - _logsumexp(table[:, ~mask[:, n]])
         ) / temperature
     return out
+
+
+def residual_statistic(obs: WhitenedObservation, layer: int, symbol: complex) -> complex:
+    """Partial residual projected onto the other layer's signature.
+
+    Cancels ``symbol`` from the given layer and projects what remains
+    onto the other layer, normalized by that layer's gain; slicing the
+    real and imaginary parts of the result yields the best partner
+    amplitudes.
+    """
+    if layer == 1:
+        h_own, h_other, gain = obs.h1, obs.h2, obs.gain2
+    elif layer == 2:
+        h_own, h_other, gain = obs.h2, obs.h1, obs.gain1
+    else:
+        raise ValueError(f"layer must be 1 or 2, got {layer}")
+    return complex(np.vdot(h_other, obs.y - h_own * symbol) / gain)
+
+
+def candidate_metric(
+    obs: WhitenedObservation,
+    c: Constellation,
+    llrs: AprioriLLRs,
+    enum_index: int,
+    sliced_index: int,
+    layer: int,
+) -> float:
+    """Joint log-prior sum minus residual energy for one candidate pair.
+
+    ``enum_index`` is the enumerated symbol of ``layer``; ``sliced_index``
+    the partner symbol chosen for the other layer.
+    """
+    s_enum = c.symbols[enum_index]
+    s_sliced = c.symbols[sliced_index]
+    b_enum = c.bit_weights[enum_index]
+    b_sliced = c.bit_weights[sliced_index]
+    if layer == 1:
+        prior = b_enum @ llrs.values[0] + b_sliced @ llrs.values[1]
+        r = obs.y - obs.h1 * s_enum - obs.h2 * s_sliced
+    elif layer == 2:
+        prior = b_sliced @ llrs.values[0] + b_enum @ llrs.values[1]
+        r = obs.y - obs.h1 * s_sliced - obs.h2 * s_enum
+    else:
+        raise ValueError(f"layer must be 1 or 2, got {layer}")
+    return float(prior - np.vdot(r, r).real)
+
+
+def pairwise_boundary(pam: PamAxis, k: int, j: int, logp, gain: float) -> float:
+    """Score crossover between amplitudes k and j; symmetric in (k, j).
+
+    The midpoint of the two amplitudes, shifted against the log-prior
+    difference and inversely with the gain and the amplitude separation.
+    """
+    if k == j:
+        raise ValueError("boundary requires two distinct amplitudes")
+    if not gain > 0:
+        raise ValueError(f"gain must be positive, got {gain}")
+    lp = _logp_array(logp)
+    xk = float(pam.points[k])
+    xj = float(pam.points[j])
+    return (xk + xj) / 2.0 - (float(lp[k]) - float(lp[j])) / (
+        2.0 * (xk - xj) * gain
+    )
+
+
+def argmax_slice_oracle(pam: PamAxis, logp, gain: float, z):
+    """Direct argmax of logp[k]/gain - (z - x[k])**2 over all amplitudes.
+
+    Test oracle for the interval table: evaluates every score instead of
+    slicing.  Ties go to the lowest index (the higher amplitude), the
+    same convention slice_statistic uses at thresholds.  Vectorized over
+    z.
+    """
+    if not gain > 0:
+        raise ValueError(f"gain must be positive, got {gain}")
+    lp = _logp_array(logp)
+    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
+    scores = lp[:, None] / gain - (z_arr[None, :] - pam.points[:, None]) ** 2
+    result = np.argmax(scores, axis=0)
+    return int(result[0]) if np.ndim(z) == 0 else result
+
+
+def quadratic_norm(x, Q) -> float:
+    """Hermitian quadratic form x^H Q x as a nonnegative real.
+
+    The imaginary residue of the form must be negligible (it is zero in
+    exact arithmetic for Hermitian Q); otherwise a ValueError is raised.
+    """
+    x = np.asarray(x, dtype=complex).ravel()
+    Q = np.asarray(Q, dtype=complex)
+    if Q.shape != (x.size, x.size):
+        raise ValueError(
+            f"dimension mismatch: vector of size {x.size}, matrix {Q.shape}"
+        )
+    value = complex(np.vdot(x, Q @ x))
+    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+        raise ValueError(f"quadratic form has imaginary residue {value.imag:.3e}")
+    return value.real

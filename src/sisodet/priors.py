@@ -27,15 +27,6 @@ class AprioriLLRs:
     l_max: float = L_MAX_DEFAULT
 
 
-@dataclass(frozen=True)
-class AxisLogPriors:
-    """Unnormalized per-amplitude log-priors for one layer and axis."""
-
-    layer: int
-    axis: str
-    logp: np.ndarray
-
-
 def clamp(values, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
     """Build AprioriLLRs, clamping magnitudes to l_max.
 
@@ -76,11 +67,12 @@ def uniform_priors(q: int, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
 
 def axis_log_priors(
     llrs: AprioriLLRs, layer: int, axis: str, pam: PamAxis
-) -> AxisLogPriors:
+) -> np.ndarray:
     """Collapse one layer's axis bits into per-amplitude log-priors.
 
-    Bits ``0 .. q/2-1`` of a layer address the real axis, bits
-    ``q/2 .. q-1`` the imaginary axis.
+    Returns the read-only unnormalized log-prior of each amplitude, in
+    the axis order.  Bits ``0 .. q/2-1`` of a layer address the real
+    axis, bits ``q/2 .. q-1`` the imaginary axis.
 
     Raises:
         ValueError: If ``layer`` or ``axis`` is not one of its two values,
@@ -100,7 +92,7 @@ def axis_log_priors(
     bit_slice = row[:half_q] if axis == "real" else row[half_q:]
     logp = pam.bit_weights.dot(bit_slice)
     logp.flags.writeable = False
-    return AxisLogPriors(layer=layer, axis=axis, logp=logp)
+    return logp
 
 
 def genie_priors(

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constellation import PamAxis
-from .priors import AxisLogPriors
 
 
 @dataclass
@@ -53,7 +52,6 @@ class DecisionRegions:
     lower: np.ndarray
     upper: np.ndarray
     empty: np.ndarray
-    gain: float
     boundary_count: int
     _owners: np.ndarray = field(init=False, repr=False)
     _ascending_bounds: np.ndarray = field(init=False, repr=False)
@@ -66,36 +64,18 @@ class DecisionRegions:
 
 
 def _logp_array(logp) -> np.ndarray:
-    arr = logp.logp if isinstance(logp, AxisLogPriors) else np.asarray(logp, float)
+    arr = np.asarray(logp, float)
     if not all(map(math.isfinite, arr.ravel().tolist())):
         raise ValueError("axis log-priors must be finite")
     return arr
-
-
-def pairwise_boundary(pam: PamAxis, k: int, j: int, logp, gain: float) -> float:
-    """Score crossover between amplitudes k and j; symmetric in (k, j).
-
-    The midpoint of the two amplitudes, shifted against the log-prior
-    difference and inversely with the gain and the amplitude separation.
-    """
-    if k == j:
-        raise ValueError("boundary requires two distinct amplitudes")
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
-    lp = _logp_array(logp)
-    xk = float(pam.points[k])
-    xj = float(pam.points[j])
-    return (xk + xj) / 2.0 - (float(lp[k]) - float(lp[j])) / (
-        2.0 * (xk - xj) * gain
-    )
 
 
 def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     """Build the interval table for one axis, flagging empty regions.
 
     Evaluates the ``(L, L)`` crossover matrix in one pass, with the same
-    floating expression as ``pairwise_boundary``, so every threshold is
-    bit-identical to a pair-by-pair evaluation.  For each row k,
+    floating expression as ``oracle.pairwise_boundary``, so every
+    threshold is bit-identical to a pair-by-pair evaluation.  For each row k,
     ``j*(k)`` is the first column ``j > k`` holding the row's largest
     crossover, so an exact tie goes to the tied partner nearest to k
     (the higher amplitude).  The surviving amplitudes
@@ -106,7 +86,7 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     for ``E`` empty amplitudes: the crossovers between two empty
     amplitudes are the only ones no bound depends on.
     """
-    if gain <= 0:
+    if not gain > 0:
         raise ValueError(f"gain must be positive, got {gain}")
     lp = _logp_array(logp)
     L = pam.L
@@ -134,7 +114,6 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
         lower=lower,
         upper=upper,
         empty=empty,
-        gain=float(gain),
         boundary_count=(L * (L - 1) - E * (E - 1)) // 2,
     )
 
@@ -144,23 +123,13 @@ def slice_statistic(regions: DecisionRegions, z):
 
     Equivalent to the score argmax over all amplitudes; a z exactly on a
     shared threshold goes to the higher-amplitude side.
+
+    Raises:
+        ValueError: If z is or holds NaN, which has no interval.
     """
+    # A sum of squares is NaN exactly when an entry is (a square is never
+    # negative, so infinities cannot cancel), and costs less than isnan.
+    if math.isnan(np.vdot(z, z)):
+        raise ValueError("decision statistic is NaN")
     result = regions._owners[regions._ascending_bounds.searchsorted(z, side="right")]
     return int(result) if np.ndim(z) == 0 else result
-
-
-def argmax_slice_oracle(pam: PamAxis, logp, gain: float, z):
-    """Direct argmax of logp[k]/gain - (z - x[k])**2 over all amplitudes.
-
-    Test oracle for the interval table: evaluates every score instead of
-    slicing.  Ties go to the lowest index (the higher amplitude), the
-    same convention slice_statistic uses at thresholds.  Vectorized over
-    z.
-    """
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
-    lp = _logp_array(logp)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    scores = lp[:, None] / gain - (z_arr[None, :] - pam.points[:, None]) ** 2
-    result = np.argmax(scores, axis=0)
-    return int(result[0]) if np.ndim(z) == 0 else result

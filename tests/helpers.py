@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from sisodet import DecisionRegions, pair_metric_table
+from sisodet import DecisionRegions
+from sisodet.oracle import pair_metric_table
 from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
 from sisodet.slicer import _logp_array
 
@@ -117,5 +118,5 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
             k += 1
 
     return DecisionRegions(
-        lower=lower, upper=upper, empty=empty, gain=gain, boundary_count=len(cache)
+        lower=lower, upper=upper, empty=empty, boundary_count=len(cache)
     )

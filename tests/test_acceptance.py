@@ -12,17 +12,15 @@ import numpy as np
 import pytest
 
 from sisodet import (
-    argmax_slice_oracle,
     brute_force_maxlog,
     build_constellation,
     build_regions,
     clamp,
     detect,
-    pairwise_boundary,
-    quadratic_norm,
     slice_statistic,
     uniform_priors,
 )
+from sisodet.oracle import argmax_slice_oracle, quadratic_norm
 from sisodet.priors import axis_log_priors
 from sisodet.simcli import main
 from helpers import random_hermitian_pd, random_tone

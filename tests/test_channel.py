@@ -1,5 +1,7 @@
 """Tests for the channel model, noise generation, and whitening."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from sisodet import (
     generate_channel,
     generate_noise,
     make_channel,
-    quadratic_norm,
     transmit,
     whiten,
 )
+from sisodet.oracle import quadratic_norm
 from helpers import random_hermitian_pd, random_tone
 
 
@@ -111,6 +113,13 @@ class TestTransmit:
         with pytest.raises(ValueError):
             transmit([1.0], ch, np.zeros(2))
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_noise_length_named(self, length):
+        """A length-1 noise vector used to broadcast over both antennas."""
+        ch = _channel_with_precision(np.eye(2))
+        with pytest.raises(ValueError, match=rf"noise has {length} entries.* 2 receive"):
+            transmit([1, 1], ch, np.zeros(length))
+
 
 class TestGenerators:
     def test_same_seed_same_draws(self):
@@ -176,6 +185,13 @@ class TestMakeChannel:
         C[0, 0] = value
         with pytest.raises(ValueError, match="non-finite"):
             make_channel(np.eye(2, dtype=complex), C)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2, 1)])
+    def test_precoder_shape_named(self, shape):
+        """A precoder that is not (N_t, 2) names both shapes, instead of a
+        matmul or unpacking error."""
+        with pytest.raises(ValueError, match=rf"\(2, 2\).*{re.escape(str(shape))}"):
+            make_channel(np.eye(2, dtype=complex), np.eye(2), precoder=np.ones(shape))
 
     def test_covariance_shape_must_match_receive_antennas(self):
         """A 3x3 covariance with a two-antenna channel names both shapes."""

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from sisodet import (
-    build_constellation,
-    clamp,
-    detect,
-    measured_vs_predicted,
-    predicted_counts,
-)
+from sisodet import build_constellation, clamp, detect, predicted_counts
 from helpers import random_tone
 
 
@@ -76,19 +70,21 @@ class TestMeasuredVsPredicted:
         rng = np.random.default_rng(70)
         const = build_constellation(16)
         obs, llrs, _, _, _, _ = random_tone(rng, const, mu=0.0)
-        comparison = measured_vs_predicted(detect(obs, const, llrs), 16)
-        assert comparison.predicted_total == 56
-        assert comparison.measured_total == 56
-        assert comparison.pruning_slack == 0
+        measured = detect(obs, const, llrs).total_metric_count
+        predicted = predicted_counts("proposed", 16, 2).metrics
+        assert predicted == 56
+        assert measured == 56
+        assert predicted - measured == 0
 
     def test_pruning_tone_under_ceiling(self):
         rng = np.random.default_rng(71)
         const = build_constellation(16)
         obs, _, _, _, _, _ = random_tone(rng, const)
         llrs = clamp(np.array([[0.0] * 4, [0.0, -40.0, 0.0, 0.0]]))
-        comparison = measured_vs_predicted(detect(obs, const, llrs), 16)
-        assert comparison.measured_total < comparison.predicted_total
-        assert comparison.pruning_slack > 0
+        measured = detect(obs, const, llrs).total_metric_count
+        predicted = predicted_counts("proposed", 16, 2).metrics
+        assert measured < predicted
+        assert predicted - measured > 0
 
     def test_candidate_count_always_2m(self):
         const = build_constellation(16)

@@ -12,19 +12,17 @@ from sisodet import detector
 from sisodet import (
     brute_force_maxlog,
     build_constellation,
-    candidate_metric,
     clamp,
     detect,
     generate_channel,
     llrs_from_metrics,
     make_channel,
-    quadratic_norm,
-    residual_statistic,
     transmit,
     uniform_priors,
     whiten,
 )
 from sisodet.channel import WhitenedObservation
+from sisodet.oracle import candidate_metric, quadratic_norm, residual_statistic
 from helpers import build_regions_walk, random_tone
 
 

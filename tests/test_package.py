@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import sisodet
+import sisodet.oracle
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(sisodet.__file__).resolve().parents[1]))
 
@@ -34,7 +35,8 @@ import contextlib, io, sys
 sys.modules["scipy"] = None  # every `import scipy...` now raises ImportError
 
 import numpy as np
-from sisodet import build_constellation, log_map
+from sisodet import build_constellation
+from sisodet.oracle import log_map
 from sisodet.simcli import draw_tone, main, noise_covariance, sigma2_from_snr_db, tone_rng
 
 runs = [
@@ -57,3 +59,54 @@ def test_cli_and_log_map_run_with_scipy_blocked():
     run = run_python(SCIPY_BLOCKED)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0, 0, 0, 0] True\n"
+
+
+RECEIVER_API = [
+    "AprioriLLRs",
+    "ChannelRealization",
+    "ComplexityEstimate",
+    "Constellation",
+    "DecisionRegions",
+    "DetectionResult",
+    "PamAxis",
+    "WhitenedObservation",
+    "axis_log_priors",
+    "bits_to_symbol",
+    "brute_force_maxlog",
+    "build_constellation",
+    "build_regions",
+    "cholesky_factor",
+    "clamp",
+    "default_precoder",
+    "detect",
+    "generate_channel",
+    "generate_noise",
+    "genie_priors",
+    "llrs_from_metrics",
+    "make_channel",
+    "predicted_counts",
+    "slice_statistic",
+    "symbol_to_bits",
+    "transmit",
+    "uniform_priors",
+    "whiten",
+]
+ORACLES = (
+    "argmax_slice_oracle",
+    "candidate_metric",
+    "log_map",
+    "pair_metric_table",
+    "pairwise_boundary",
+    "quadratic_norm",
+    "residual_statistic",
+)
+
+
+def test_public_api_is_receiver_sized():
+    """The package exports what a receiver needs plus the exhaustive
+    max-log search; the other references live in sisodet.oracle only."""
+    assert sorted(sisodet.__all__) == RECEIVER_API
+    assert all(hasattr(sisodet, name) for name in sisodet.__all__)
+    for name in ORACLES:
+        assert callable(getattr(sisodet.oracle, name))
+        assert name not in sisodet.__all__

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import sisodet
-from sisodet import build_constellation, detect, pairwise_boundary, uniform_priors
+from sisodet import build_constellation, detect, uniform_priors
+from sisodet.oracle import pairwise_boundary
 from sisodet.simcli import (
     SimConfig,
     UsageError,

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sisodet import (
-    argmax_slice_oracle,
     axis_log_priors,
     build_constellation,
     build_regions,
     clamp,
-    pairwise_boundary,
     slice_statistic,
 )
+from sisodet.oracle import argmax_slice_oracle, pairwise_boundary
 from helpers import build_regions_walk
 
 finite_logp = st.floats(min_value=-60.0, max_value=60.0)
@@ -211,6 +210,41 @@ class TestSlice:
         )
 
 
+class TestNanRejected:
+    """NaN fails every ``gain > 0`` and interval test; it used to give NaN
+    bounds, or amplitude 0 from the slicer, with no error."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pam, gain: build_regions(pam, np.zeros(4), gain),
+            lambda pam, gain: pairwise_boundary(pam, 0, 1, np.zeros(4), gain),
+            lambda pam, gain: argmax_slice_oracle(pam, np.zeros(4), gain, 0.0),
+        ],
+        ids=["build_regions", "pairwise_boundary", "argmax_slice_oracle"],
+    )
+    def test_nan_gain(self, axis16, call):
+        with pytest.raises(ValueError, match="gain must be positive, got nan"):
+            call(axis16, np.nan)
+
+    @pytest.mark.parametrize(
+        "z", [np.nan, np.array([np.nan, 0.0]), np.array([0.0, 1e200, np.nan])]
+    )
+    def test_nan_statistic(self, axis16, z):
+        regions = build_regions(axis16, np.zeros(4), 1.0)
+        with pytest.raises(ValueError, match="decision statistic is NaN"):
+            slice_statistic(regions, z)
+
+    def test_infinite_statistic_still_sliced(self, axis16):
+        """Infinite and overflowing statistics are not mistaken for NaN."""
+        regions = build_regions(axis16, np.zeros(4), 1.0)
+        assert slice_statistic(regions, -np.inf) == 3
+        np.testing.assert_array_equal(
+            slice_statistic(regions, np.array([np.inf, -np.inf, 1e200, -1e200])),
+            [0, 3, 0, 3],
+        )
+
+
 class TestRegionInvariants:
     @pytest.mark.parametrize("M", [4, 16, 64, 256])
     def test_randomized_battery(self, M):
@@ -292,7 +326,7 @@ class TestWalkReference:
             # feedback far beyond the clamp: many LLRs sit at +-l_max
             llrs = clamp(rng.normal(0, 150, (2, const.q)))
             layer = int(rng.integers(1, 3))
-            return axis_log_priors(llrs, layer, "real", pam).logp, 10.0**log_gain
+            return axis_log_priors(llrs, layer, "real", pam), 10.0**log_gain
         return rng.uniform(-50, 50, pam.L), 10.0**log_gain
 
     @pytest.mark.parametrize("M", [4, 16, 64, 256])

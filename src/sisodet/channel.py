@@ -10,7 +10,7 @@ norm becomes a plain Euclidean norm.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,15 +41,36 @@ class ChannelRealization:
 class WhitenedObservation:
     """Received vector and layer signatures after noise whitening.
 
-    ``gain1``/``gain2`` cache the squared norms of the whitened layer
-    signatures; they are the slicer gains.
+    ``gain1``/``gain2`` are derived on construction: the squared norms of
+    the whitened layer signatures, which are the slicer gains.
+
+    Raises:
+        ValueError: If ``y``, ``h1`` and ``h2`` differ in length, or a
+            layer signature is numerically zero, since the detector
+            divides by its squared norm.
     """
 
     y: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
-    gain1: float
-    gain2: float
+    gain1: float = field(init=False)
+    gain2: float = field(init=False)
+
+    def __post_init__(self):
+        lengths = (len(self.y), len(self.h1), len(self.h2))
+        if not lengths[0] == lengths[1] == lengths[2]:
+            raise ValueError(
+                f"y, h1 and h2 must have the same length, got {lengths[0]}, "
+                f"{lengths[1]} and {lengths[2]}"
+            )
+        gain1 = float(np.vdot(self.h1, self.h1).real)
+        gain2 = float(np.vdot(self.h2, self.h2).real)
+        if gain1 < DEGENERATE_GAIN or gain2 < DEGENERATE_GAIN:
+            raise ValueError(
+                f"degenerate channel: whitened layer gains {gain1:.3e}, {gain2:.3e}"
+            )
+        object.__setattr__(self, "gain1", gain1)
+        object.__setattr__(self, "gain2", gain2)
 
 
 def default_precoder(n_tx: int) -> np.ndarray:
@@ -127,7 +148,7 @@ def transmit(s, ch: ChannelRealization, n) -> np.ndarray:
 
 
 def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
-    """Whiten the observation and cache the per-layer slicer gains.
+    """Whiten the observation and its layer signatures.
 
     With ``G G^H`` equal to the noise precision, multiplying by ``G^H``
     turns the precision-weighted residual norm into a Euclidean one.
@@ -148,15 +169,9 @@ def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
     # One stacked mat-vec per layer signature: the rows are the whitened
     # signatures, rounded exactly as GH @ (one column) rounds them.
     h1, h2 = (GH @ ch.effective_channel.T[:, :, None])[:, :, 0]
-    gain1 = float(np.vdot(h1, h1).real)
-    gain2 = float(np.vdot(h2, h2).real)
-    if gain1 < DEGENERATE_GAIN or gain2 < DEGENERATE_GAIN:
-        raise ValueError(
-            f"degenerate channel: whitened layer gains {gain1:.3e}, {gain2:.3e}"
-        )
     for arr in (y_t, h1, h2):
         arr.flags.writeable = False
-    return WhitenedObservation(y=y_t, h1=h1, h2=h2, gain1=gain1, gain2=gain2)
+    return WhitenedObservation(y=y_t, h1=h1, h2=h2)
 
 
 def generate_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:

@@ -63,14 +63,27 @@ class PamAxis:
         return _frozen(gaps)
 
     @cached_property
-    def below(self) -> np.ndarray:
-        """``(L, L)`` mask of pairs (k, j) with ``j > k``: x[j] below x[k]."""
-        return _frozen(np.triu(np.ones((self.L, self.L), dtype=bool), 1))
+    def below_bias(self) -> np.ndarray:
+        """``(L, L)`` additive mask: ``-0.0`` on pairs (k, j) with ``j > k``
+        (x[j] below x[k]), ``-inf`` elsewhere.
+
+        Adding ``-0.0`` returns every float bit for bit, signed zeros
+        included, so ``d + below_bias`` keeps the below-pairs of ``d``
+        exactly and sends the rest to ``-inf``.
+        """
+        below = np.triu(np.ones((self.L, self.L), dtype=bool), 1)
+        return _frozen(np.where(below, -0.0, -np.inf))
 
     @cached_property
     def above(self) -> np.ndarray:
         """``(L, L)`` mask of pairs (k, j) with ``j < k``: x[j] above x[k]."""
         return _frozen(np.tril(np.ones((self.L, self.L), dtype=bool), -1))
+
+    @cached_property
+    def descending(self) -> np.ndarray:
+        """Amplitude indices ``L-1, ..., 0``: every amplitude in ascending
+        order of value."""
+        return _frozen(np.arange(self.L - 1, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -101,10 +114,16 @@ class Constellation:
         return _frozen(self.labels.astype(bool))
 
     @cached_property
-    def split_bit_mask(self) -> np.ndarray:
-        """``(M, 2q)`` mask: column n selects the symbols with bit n set,
-        column q + n those with it clear."""
-        return _frozen(np.concatenate((self.bit_mask, ~self.bit_mask), axis=1))
+    def split_bit_index(self) -> np.ndarray:
+        """``(2q, M/2)`` symbol indices: row n lists the symbols with bit n
+        set, row q + n those with it clear, each in ascending order.
+
+        Every bit is set on exactly half of the labels, so the rows have
+        equal length and a per-bit maximum is one gather and one reduction
+        along contiguous rows.
+        """
+        rows = np.concatenate((self.bit_mask, ~self.bit_mask), axis=1).T
+        return _frozen(rows.nonzero()[1].reshape(2 * self.q, self.M // 2))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -41,19 +41,20 @@ class DetectionResult:
     total_metric_count: int
 
 
-def llrs_from_metrics(metrics, split_mask) -> np.ndarray:
+def llrs_from_metrics(metrics, split_index) -> np.ndarray:
     """Per-bit LLRs: best metric with the bit set minus best with it clear.
 
-    ``split_mask`` is a constellation's ``split_bit_mask``: ``(M, 2q)``,
-    the symbols with bit n set in column n and those with it clear in
-    column q + n.
+    ``split_index`` is a constellation's ``split_bit_index``: ``(2q, M/2)``
+    symbol indices, the symbols with bit n set in row n and those with it
+    clear in row q + n.  Each best metric is the maximum of one gathered
+    row, so it is exact: the same float a scan over all M symbols finds.
     """
     metrics = np.asarray(metrics, dtype=float)
-    mask = np.asarray(split_mask, dtype=bool)
-    if metrics.size != mask.shape[0]:
+    index = np.asarray(split_index)
+    if metrics.size != 2 * index.shape[1]:
         raise ValueError("one metric per labeled symbol required")
-    q = mask.shape[1] // 2
-    best = np.where(mask, metrics[:, None], -np.inf).max(axis=0)
+    q = index.shape[0] // 2
+    best = np.maximum.reduce(metrics.take(index), axis=1)
     return best[:q] - best[q:]
 
 
@@ -117,7 +118,12 @@ def detect(
     x2.imag[0] = pam_i.points[b2]
     x1.real[1] = pam_r.points[a1]
     x1.imag[1] = pam_i.points[b1]
-    energy = (np.abs(y - x1[:, :, None] * h1 - x2[:, :, None] * h2) ** 2).sum(axis=2)
+    # Antenna axis first and each product written symbol * signature, as in
+    # oracle.pair_metric_table: numpy can round h * x and x * h differently,
+    # and the LLRs match the oracle exactly at high SNR only while every
+    # residual is rounded the same way in both.
+    r = y[:, None, None] - x1 * h1[:, None, None] - x2 * h2[:, None, None]
+    energy = (np.abs(r) ** 2).sum(axis=0)
 
     partner_prior_2 = lp2_re[a2] + lp2_im[b2]
     partner_prior_1 = lp1_re[a1] + lp1_im[b1]
@@ -127,8 +133,8 @@ def detect(
     eta2 = partner_prior_1 + enum_prior_2 - energy[1]
 
     out = np.empty((2, c.q))
-    out[0] = llrs_from_metrics(eta1, c.split_bit_mask)
-    out[1] = llrs_from_metrics(eta2, c.split_bit_mask)
+    out[0] = llrs_from_metrics(eta1, c.split_bit_index)
+    out[1] = llrs_from_metrics(eta2, c.split_bit_index)
     return DetectionResult(
         llrs=out,
         candidate_metric_count=2 * c.M,

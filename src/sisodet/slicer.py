@@ -47,20 +47,26 @@ class DecisionRegions:
     ``boundary_count`` is the number of distinct pairwise thresholds the
     table depends on: pairs with at least one non-empty amplitude, at most
     L(L-1)/2.
+
+    ``_owners`` holds the surviving amplitudes in ascending order and
+    ``_ascending_bounds`` the lower thresholds of all but the smallest
+    (-inf) of them, ready for searchsorted.  Both are derived from
+    ``empty`` and ``lower`` unless given; ``build_regions`` passes them
+    when no amplitude is empty, as the axis's cached ``descending`` index
+    and the reversed view ``lower[-2::-1]``.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     empty: np.ndarray
     boundary_count: int
-    _owners: np.ndarray = field(init=False, repr=False)
-    _ascending_bounds: np.ndarray = field(init=False, repr=False)
+    _owners: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    _ascending_bounds: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
-        # Surviving amplitudes in ascending order, and the lower thresholds
-        # of all but the smallest (-inf) of them, ready for searchsorted.
-        self._owners = (~self.empty).nonzero()[0][::-1]
-        self._ascending_bounds = self.lower[self._owners[1:]]
+        if self._owners is None:
+            self._owners = (~self.empty).nonzero()[0][::-1]
+            self._ascending_bounds = self.lower[self._owners[1:]]
 
 
 def _logp_array(logp) -> np.ndarray:
@@ -96,8 +102,8 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
         raise ValueError(f"expected {L} log-priors, got {lp.size}")
 
     d = pam.pair_midpoints - (lp[:, None] - lp) / (pam.pair_gaps * float(gain))
-    below = np.where(pam.below, d, -np.inf)
-    lower = below.max(axis=1)  # -inf on the last row
+    below = d + pam.below_bias  # d on j > k, -inf elsewhere, bit for bit
+    lower = np.maximum.reduce(below, axis=1)  # -inf on the last row
     upper = np.minimum.reduce(d, axis=1, where=pam.above, initial=np.inf)  # +inf on row 0
     j_star = below.argmax(axis=1).tolist()
 
@@ -105,11 +111,18 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     while survivors[-1] < L - 1:
         survivors.append(j_star[survivors[-1]])
     E = L - len(survivors)
-    empty = np.zeros(L, dtype=bool)
-    if E:  # most tables empty nothing and skip the fancy indexing
-        empty[:] = True
-        empty[survivors] = False
-        lower[empty] = upper[empty] = np.nan
+    if not E:  # most tables empty nothing and skip the owner search
+        return DecisionRegions(
+            lower=lower,
+            upper=upper,
+            empty=np.zeros(L, dtype=bool),
+            boundary_count=L * (L - 1) // 2,
+            _owners=pam.descending,
+            _ascending_bounds=lower[-2::-1],
+        )
+    empty = np.ones(L, dtype=bool)
+    empty[survivors] = False
+    lower[empty] = upper[empty] = np.nan
     return DecisionRegions(
         lower=lower,
         upper=upper,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sisodet import (
+    WhitenedObservation,
     build_constellation,
     generate_channel,
     generate_noise,
@@ -73,6 +74,31 @@ class TestWhiten:
         ch = make_channel(Hbar, np.eye(2))
         with pytest.raises(ValueError, match="degenerate"):
             whiten(np.zeros(2, dtype=complex), ch)
+
+
+class TestWhitenedObservation:
+    """Hand-built observations: the gains follow the signatures."""
+
+    def test_swapped_signatures_get_swapped_gains(self):
+        """Swapping h1 and h2 swaps the derived gains, bit for bit; a gain
+        cannot be passed in, so it cannot disagree with its signature."""
+        rng = np.random.default_rng(5)
+        obs, _, _, _, _, _ = random_tone(rng, build_constellation(16), rho=0.5)
+        swapped = WhitenedObservation(y=obs.y, h1=obs.h2, h2=obs.h1)
+        assert (swapped.gain1, swapped.gain2) == (obs.gain2, obs.gain1)
+        with pytest.raises(TypeError):
+            WhitenedObservation(y=obs.y, h1=obs.h1, h2=obs.h2, gain1=2 * obs.gain1)
+
+    def test_length_mismatch_named(self):
+        """A 2-entry y against 3-entry signatures names all three lengths."""
+        h = np.ones(3, dtype=complex)
+        with pytest.raises(ValueError, match="same length, got 2, 3 and 3"):
+            WhitenedObservation(y=np.zeros(2, dtype=complex), h1=h, h2=h)
+
+    def test_degenerate_signature_rejected(self):
+        h = np.ones(2, dtype=complex)
+        with pytest.raises(ValueError, match="degenerate"):
+            WhitenedObservation(y=h, h1=h, h2=np.zeros(2, dtype=complex))
 
 
 class TestTransmit:

@@ -68,12 +68,15 @@ class TestConstellation:
 
     @pytest.mark.parametrize("M", ALL_ORDERS)
     def test_split_bit_mask_columns(self, M):
-        """Column n picks bit n set, column q + n bit n clear; read-only."""
+        """``split_bit_index`` splits each bit-mask column: row n lists the
+        symbols with bit n set, row q + n those with it clear, ascending;
+        read-only."""
         c = build_constellation(M)
-        split = c.split_bit_mask
-        assert split.shape == (M, 2 * c.q)
-        np.testing.assert_array_equal(split[:, : c.q], c.labels == 1)
-        np.testing.assert_array_equal(split[:, c.q :], c.labels == 0)
+        split = c.split_bit_index
+        assert split.shape == (2 * c.q, M // 2)
+        for n in range(c.q):
+            np.testing.assert_array_equal(split[n], np.flatnonzero(c.labels[:, n] == 1))
+            np.testing.assert_array_equal(split[c.q + n], np.flatnonzero(c.labels[:, n] == 0))
         assert not split.flags.writeable
 
     @pytest.mark.parametrize("M", ALL_ORDERS)

@@ -22,6 +22,7 @@ from sisodet import (
     whiten,
 )
 from sisodet.channel import WhitenedObservation
+from sisodet.constellation import VALID_ORDERS
 from sisodet.oracle import candidate_metric, quadratic_norm, residual_statistic
 from helpers import build_regions_walk, random_tone
 
@@ -117,7 +118,7 @@ class TestCandidateMetric:
 class TestLlrsFromMetrics:
     def test_all_equal_metrics_zero_llrs(self):
         const = build_constellation(16)
-        out = llrs_from_metrics(np.full(16, 2.5), const.split_bit_mask)
+        out = llrs_from_metrics(np.full(16, 2.5), const.split_bit_index)
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_unique_maximum_dominates_signs(self):
@@ -127,7 +128,7 @@ class TestLlrsFromMetrics:
         metrics = rng.uniform(-10, 0, 64)
         k0 = rng.integers(0, 64)
         metrics[k0] = 5.0
-        out = llrs_from_metrics(metrics, const.split_bit_mask)
+        out = llrs_from_metrics(metrics, const.split_bit_index)
         for n in range(6):
             assert (out[n] >= 0) == bool(const.labels[k0, n])
 
@@ -137,7 +138,7 @@ class TestLlrsFromMetrics:
         rng = np.random.default_rng(47)
         for _ in range(50):
             metrics = rng.uniform(-20, 20, 16)
-            out = llrs_from_metrics(metrics, const.split_bit_mask)
+            out = llrs_from_metrics(metrics, const.split_bit_index)
             for n in range(4):
                 best = [-np.inf, -np.inf]
                 for k in range(16):
@@ -145,12 +146,29 @@ class TestLlrsFromMetrics:
                     best[b] = max(best[b], metrics[k])
                 assert out[n] == best[1] - best[0]
 
+    @pytest.mark.parametrize("M", VALID_ORDERS)
+    def test_matches_per_bit_scan_with_ties_and_extremes(self, M):
+        """Bit for bit equal to a per-bit scan over ``c.labels``, with many
+        exactly tied metrics and entries of +-1e30."""
+        const = build_constellation(M)
+        rng = np.random.default_rng([59, M])
+        for _ in range(20):
+            metrics = rng.integers(-3, 4, M).astype(float)  # ties in every bit
+            metrics[rng.random(M) < 0.1] = 1e30
+            metrics[rng.random(M) < 0.1] = -1e30
+            out = llrs_from_metrics(metrics, const.split_bit_index)
+            expected = np.empty(const.q)
+            for n in range(const.q):
+                bit = const.labels[:, n]
+                expected[n] = max(metrics[bit == 1]) - max(metrics[bit == 0])
+            assert out.tobytes() == expected.tobytes()
+
     def test_constant_shift_invariance(self):
         const = build_constellation(16)
         rng = np.random.default_rng(48)
         metrics = rng.uniform(-5, 5, 16)
-        base = llrs_from_metrics(metrics, const.split_bit_mask)
-        shifted = llrs_from_metrics(metrics + 2.0, const.split_bit_mask)
+        base = llrs_from_metrics(metrics, const.split_bit_index)
+        shifted = llrs_from_metrics(metrics + 2.0, const.split_bit_index)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -191,6 +209,27 @@ class TestDetect:
             worst = max(worst, float(np.max(np.abs(result.llrs - reference))))
         assert worst <= 1e-6
 
+    @pytest.mark.parametrize("M", VALID_ORDERS)
+    def test_exact_at_very_high_snr(self, M):
+        """Within the 1e-6 gate of the exhaustive search at 120-300 dB.
+
+        There the residual energies reach about 1e30 and every LLR is a
+        difference of two such energies, so the gate holds only because
+        ``detect`` rounds each residual exactly as ``pair_metric_table``
+        does: same antenna-first layout, same operand order in every
+        product.  numpy may round the complex product ``h * x`` and
+        ``x * h`` differently, and writing the signature first in ``detect``
+        alone breaks this test.
+        """
+        const = build_constellation(M)
+        for t in range(36):
+            rng = np.random.default_rng([60, M, t])
+            snr = (120.0, 200.0, 300.0)[t % 3]
+            mu = (0.0, 16.0, 200.0)[(t // 3) % 3]
+            obs, llrs, _, _, _, _ = random_tone(rng, const, snr_db=snr, rho=0.5, mu=mu)
+            gap = np.max(np.abs(detect(obs, const, llrs).llrs - brute_force_maxlog(obs, const, llrs)))
+            assert gap <= 1e-6, (snr, mu, gap)
+
     def test_zero_prior_equals_zero_prior_brute(self):
         rng = np.random.default_rng(52)
         const = build_constellation(64)
@@ -205,9 +244,7 @@ class TestDetect:
         rng = np.random.default_rng(53)
         const = build_constellation(16)
         obs, llrs, _, _, _, _ = random_tone(rng, const, rho=0.5, mu=2.0)
-        swapped_obs = WhitenedObservation(
-            y=obs.y, h1=obs.h2, h2=obs.h1, gain1=obs.gain2, gain2=obs.gain1
-        )
+        swapped_obs = WhitenedObservation(y=obs.y, h1=obs.h2, h2=obs.h1)
         swapped_llrs = clamp(llrs.values[::-1])
         base = detect(obs, const, llrs)
         swapped = detect(swapped_obs, const, swapped_llrs)
@@ -229,13 +266,7 @@ class TestDetect:
         rng = np.random.default_rng(55)
         const = build_constellation(4)
         obs, llrs, _, _, _, _ = random_tone(rng, const)
-        bad = WhitenedObservation(
-            y=np.array([np.nan + 0j, 0j]),
-            h1=obs.h1,
-            h2=obs.h2,
-            gain1=obs.gain1,
-            gain2=obs.gain2,
-        )
+        bad = WhitenedObservation(y=np.array([np.nan + 0j, 0j]), h1=obs.h1, h2=obs.h2)
         with pytest.raises(ValueError):
             detect(bad, const, llrs)
 
@@ -303,8 +334,9 @@ class TestDetect:
         const = build_constellation(64)
         detect(obs, const, llrs)
         axis = const.real_axis
-        tables = (const.bit_weights, const.bit_mask, const.split_bit_mask, axis.bit_weights,
-                  axis.pair_midpoints, axis.pair_gaps, axis.below, axis.above)
+        tables = (const.bit_weights, const.bit_mask, const.split_bit_index, axis.bit_weights,
+                  axis.pair_midpoints, axis.pair_gaps, axis.below_bias, axis.above,
+                  axis.descending)
         refs = [weakref.ref(table) for table in tables]
         del const, axis, tables
         gc.collect()

@@ -24,7 +24,6 @@ class AprioriLLRs:
     """Clamped a-priori LLRs, one row per layer, one column per bit."""
 
     values: np.ndarray
-    l_max: float = L_MAX_DEFAULT
 
 
 def clamp(values, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
@@ -48,7 +47,7 @@ def clamp(values, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
     if not all(map(math.isfinite, arr.ravel().tolist())):
         raise ValueError("a-priori LLRs contain NaN")
     arr.flags.writeable = False
-    return AprioriLLRs(values=arr, l_max=float(l_max))
+    return AprioriLLRs(values=arr)
 
 
 def check_llr_shape(llrs: AprioriLLRs, c: Constellation) -> None:

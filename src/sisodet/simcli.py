@@ -12,8 +12,13 @@ Subcommands:
 Decoder feedback is replaced by a genie: a-priori LLRs are drawn around
 the true bits with a reliability dial ``mu`` (0 means no feedback).  All
 randomness derives from (seed, point index, tone index), so any
-invocation is reproducible byte for byte.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+invocation is reproducible byte for byte.  ``verify`` and ``simulate``
+share one sweep, which gives one ``SimRecord`` per grid point and the
+first tone that failed the gate; ``verify`` prints its point lines from
+the records and ``simulate`` its CSV rows.  A ``--config`` file's keys are
+the flags' dests and are set on the parsed flags before the one
+``SimConfig`` is built.  Exit codes: 0 success, 1 verification failure,
+2 usage error (including a negative seed and an unwritable ``--out``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import argparse
 import functools
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -38,8 +42,8 @@ from .channel import (
     whiten,
 )
 from .complexity import DETECTOR_KINDS, predicted_counts
-from .constellation import Constellation, build_constellation, bits_to_symbol
-from .detector import DetectionResult, detect
+from .constellation import VALID_ORDERS, Constellation, bits_to_symbol, build_constellation
+from .detector import detect
 from .oracle import brute_force_maxlog
 from .priors import AprioriLLRs, axis_log_priors, clamp, genie_priors
 from .slicer import build_regions
@@ -71,8 +75,6 @@ class SimConfig:
     verify_first: bool = True
 
     def validate(self) -> None:
-        from .constellation import VALID_ORDERS
-
         if self.M not in VALID_ORDERS:
             raise UsageError(f"M must be one of {VALID_ORDERS}, got {self.M}")
         if self.n_rx < 2:
@@ -81,6 +83,8 @@ class SimConfig:
             raise UsageError(f"need at least 2 transmit antennas, got {self.n_tx}")
         if self.tones < 1:
             raise UsageError(f"tones must be at least 1, got {self.tones}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.rho < 1.0:
             raise UsageError(f"rho must lie in [0, 1), got {self.rho}")
         low, high = SNR_DB_RANGE
@@ -179,36 +183,30 @@ def draw_tone(
 
 
 @dataclass
-class CheckedTone:
-    """One tone of a sweep, detected both ways and put through the gate.
-
-    ``failure`` says why the tone failed the gate (LLRs more than
-    ``VERIFY_TOLERANCE`` from the reference, or metric counters off the
-    model), and is None for a tone that passed.
-    """
+class ToneFailure:
+    """The first tone of a sweep that failed the gate, kept for the dump;
+    ``over_tolerance`` is false when only the metric counters failed."""
 
     point_index: int
     tone_index: int
     point: tuple[float, float]
     data: ToneData
-    result: DetectionResult
-    reference: np.ndarray
-    discrepancy: float
-    failure: str | None
+    reason: str
+    over_tolerance: bool
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _failure_report(cfg: SimConfig, tone: CheckedTone, reason: str) -> str:
+def _failure_report(cfg: SimConfig, failure: ToneFailure, reason: str) -> str:
     """Failure line plus the full inputs of the tone, precise enough to
     reproduce it."""
-    data = tone.data
+    data = failure.data
     lines = [
         f"FAILURE: {reason}",
-        f"offending tone: point_index={tone.point_index} tone_index={tone.tone_index}",
-        f"point: snr_db={_fmt(tone.point[0])} mu={_fmt(tone.point[1])}",
+        f"offending tone: point_index={failure.point_index} tone_index={failure.tone_index}",
+        f"point: snr_db={_fmt(failure.point[0])} mu={_fmt(failure.point[1])}",
         f"config: M={cfg.M} n_rx={cfg.n_rx} n_tx={cfg.n_tx} seed={cfg.seed} rho={_fmt(cfg.rho)}",
         f"physical_channel = {data.channel.physical_channel.tolist()!r}",
         f"precoder = {data.channel.precoder.tolist()!r}",
@@ -222,40 +220,63 @@ def _failure_report(cfg: SimConfig, tone: CheckedTone, reason: str) -> str:
 
 
 def _sweep(
-    cfg: SimConfig, const: Constellation
-) -> Iterator[tuple[tuple[float, float], Iterator[CheckedTone]]]:
-    """The (snr, mu) grid point by point, each with its checked tones.
+    cfg: SimConfig, const: Constellation, stop_at_failure: bool
+) -> tuple[list[SimRecord], ToneFailure | None]:
+    """Run the (snr, mu) grid: one record per point and the first failure.
 
     Every tone is drawn from its own (seed, point, tone) stream, detected
     by ``detect`` and by the exhaustive ``brute_force_maxlog``, and gated:
     it fails when an LLR is more than ``VERIFY_TOLERANCE`` from the
     reference, or when the counters break the model (2M candidate
-    metrics, total at most 4M - 2 sqrt(M)).  Consumers choose what a
-    failure does.
+    metrics, total at most 4M - 2 sqrt(M)).  Each point's record counts
+    the detector's and the reference's bit errors, the metric counts and
+    the largest LLR discrepancy over all its tones.  With
+    ``stop_at_failure`` the sweep returns at the first failing tone,
+    before counting it, with the records of the points already finished;
+    otherwise it runs to the end and returns the first failure it met.
     """
     ceiling = 4 * cfg.M - 2 * const.real_axis.L
-
-    def checked(p_idx: int, point: tuple[float, float], C: np.ndarray) -> Iterator[CheckedTone]:
+    bits_per_tone = 2 * const.q
+    records: list[SimRecord] = []
+    failure: ToneFailure | None = None
+    points = [(snr, mu) for snr in cfg.snr_db_list for mu in cfg.mu_list]
+    for p_idx, (snr_db, mu) in enumerate(points):
+        C = noise_covariance(sigma2_from_snr_db(snr_db), cfg.rho, cfg.n_rx)
+        det_errors = orc_errors = metric_sum = 0
+        max_disc = 0.0
         for t_idx in range(cfg.tones):
-            data = draw_tone(tone_rng(cfg.seed, p_idx, t_idx), const, C, point[1], cfg.n_tx)
+            data = draw_tone(tone_rng(cfg.seed, p_idx, t_idx), const, C, mu, cfg.n_tx)
             result = detect(data.obs, const, data.llrs)
             reference = brute_force_maxlog(data.obs, const, data.llrs)
             disc = float(np.abs(result.llrs - reference).max())
-            if disc > VERIFY_TOLERANCE:
-                failure = f"llr discrepancy {_fmt(disc)}"
-            elif (
-                result.candidate_metric_count != 2 * cfg.M
+            over = disc > VERIFY_TOLERANCE
+            if failure is None and (
+                over
+                or result.candidate_metric_count != 2 * cfg.M
                 or result.total_metric_count > ceiling
             ):
-                failure = f"metric counts {result.candidate_metric_count}/{result.total_metric_count}"
-            else:
-                failure = None
-            yield CheckedTone(p_idx, t_idx, point, data, result, reference, disc, failure)
-
-    points = [(snr, mu) for snr in cfg.snr_db_list for mu in cfg.mu_list]
-    for p_idx, point in enumerate(points):
-        C = noise_covariance(sigma2_from_snr_db(point[0]), cfg.rho, cfg.n_rx)
-        yield point, checked(p_idx, point, C)
+                counts = f"{result.candidate_metric_count}/{result.total_metric_count}"
+                reason = f"llr discrepancy {_fmt(disc)}" if over else f"metric counts {counts}"
+                failure = ToneFailure(p_idx, t_idx, (snr_db, mu), data, reason, over)
+                if stop_at_failure:
+                    return records, failure
+            max_disc = max(max_disc, disc)
+            det_errors += int(np.count_nonzero((result.llrs > 0) != data.bits))
+            orc_errors += int(np.count_nonzero((reference > 0) != data.bits))
+            metric_sum += result.total_metric_count
+        records.append(
+            SimRecord(
+                snr_db=snr_db,
+                mu=mu,
+                tones=cfg.tones,
+                bit_errors_detector=det_errors,
+                bit_errors_oracle=orc_errors,
+                ber=det_errors / (cfg.tones * bits_per_tone),
+                mean_total_metric_count=metric_sum / cfg.tones,
+                max_llr_discrepancy_vs_oracle=max_disc,
+            )
+        )
+    return records, failure
 
 
 def run_verify(cfg: SimConfig) -> tuple[int, str]:
@@ -266,35 +287,24 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
     run goes on to the end.  Returns (exit status, report text).
     """
     cfg.validate()
-    const = build_constellation(cfg.M)
+    records, failure = _sweep(cfg, build_constellation(cfg.M), stop_at_failure=False)
     lines = [
         f"verify M={cfg.M} n_rx={cfg.n_rx} n_tx={cfg.n_tx} tones_per_point={cfg.tones} "
         f"seed={cfg.seed} rho={_fmt(cfg.rho)}"
     ]
-    global_max = 0.0
-    failure: str | None = None
-    for (snr_db, mu), tones in _sweep(cfg, const):
-        point_max = 0.0
-        metric_sum = 0
-        for tone in tones:
-            point_max = max(point_max, tone.discrepancy)
-            metric_sum += tone.result.total_metric_count
-            if tone.failure is not None and failure is None:
-                failure = _failure_report(cfg, tone, tone.failure)
-        global_max = max(global_max, point_max)
+    for rec in records:
         lines.append(
-            f"point snr_db={_fmt(snr_db)} mu={_fmt(mu)}: tones={cfg.tones} "
-            f"max_llr_discrepancy={_fmt(point_max)} "
-            f"mean_total_metric_count={_fmt(metric_sum / cfg.tones)}"
+            f"point snr_db={_fmt(rec.snr_db)} mu={_fmt(rec.mu)}: tones={rec.tones} "
+            f"max_llr_discrepancy={_fmt(rec.max_llr_discrepancy_vs_oracle)} "
+            f"mean_total_metric_count={_fmt(rec.mean_total_metric_count)}"
         )
+    global_max = max([0.0, *(rec.max_llr_discrepancy_vs_oracle for rec in records)])
     lines.append(f"global max_llr_discrepancy = {_fmt(global_max)}")
     lines.append(f"tolerance = {_fmt(VERIFY_TOLERANCE)}")
     if failure is not None:
-        lines.append(failure)
-        lines.append("RESULT: FAIL")
-        return 1, "\n".join(lines) + "\n"
-    lines.append("RESULT: PASS")
-    return 0, "\n".join(lines) + "\n"
+        lines.append(_failure_report(cfg, failure, failure.reason))
+    lines.append("RESULT: PASS" if failure is None else "RESULT: FAIL")
+    return (0 if failure is None else 1), "\n".join(lines) + "\n"
 
 
 SIM_CSV_HEADER = ",".join(f.name for f in fields(SimRecord))
@@ -321,39 +331,13 @@ def run_simulate(cfg: SimConfig) -> tuple[int, list[SimRecord], str]:
     records, csv text).
     """
     cfg.validate()
-    const = build_constellation(cfg.M)
-    bits_per_tone = 2 * const.q
-    records: list[SimRecord] = []
-    lines = [SIM_CSV_HEADER]
-    for (snr_db, mu), tones in _sweep(cfg, const):
-        det_errors = 0
-        orc_errors = 0
-        metric_sum = 0
-        max_disc = 0.0
-        for tone in tones:
-            max_disc = max(max_disc, tone.discrepancy)
-            if cfg.verify_first and tone.failure is not None:
-                reason = tone.failure
-                if tone.discrepancy > VERIFY_TOLERANCE:
-                    reason += f" exceeds {_fmt(VERIFY_TOLERANCE)}"
-                return 1, records, _failure_report(cfg, tone, reason) + "\n"
-            bits = tone.data.bits
-            det_errors += int(np.count_nonzero((tone.result.llrs > 0) != bits))
-            orc_errors += int(np.count_nonzero((tone.reference > 0) != bits))
-            metric_sum += tone.result.total_metric_count
-        record = SimRecord(
-            snr_db=snr_db,
-            mu=mu,
-            tones=cfg.tones,
-            bit_errors_detector=det_errors,
-            bit_errors_oracle=orc_errors,
-            ber=det_errors / (cfg.tones * bits_per_tone),
-            mean_total_metric_count=metric_sum / cfg.tones,
-            max_llr_discrepancy_vs_oracle=max_disc,
-        )
-        records.append(record)
-        lines.append(_csv_row(record))
-    return 0, records, "\n".join(lines) + "\n"
+    records, failure = _sweep(cfg, build_constellation(cfg.M), stop_at_failure=cfg.verify_first)
+    if cfg.verify_first and failure is not None:
+        reason = failure.reason
+        if failure.over_tolerance:
+            reason += f" exceeds {_fmt(VERIFY_TOLERANCE)}"
+        return 1, records, _failure_report(cfg, failure, reason) + "\n"
+    return 0, records, "\n".join([SIM_CSV_HEADER, *map(_csv_row, records)]) + "\n"
 
 
 REGIONS_CSV_HEADER = "axis,layer,symbol_index,point,lower,upper,empty"
@@ -387,20 +371,10 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
             regions = build_regions(
                 pam, axis_log_priors(llrs, layer, axis_name, pam), gains[layer]
             )
-            for k in range(pam.L):
-                lines.append(
-                    ",".join(
-                        [
-                            axis_name,
-                            str(layer),
-                            str(k),
-                            _fmt(pam.points[k]),
-                            _fmt(regions.lower[k]),
-                            _fmt(regions.upper[k]),
-                            "true" if regions.empty[k] else "false",
-                        ]
-                    )
-                )
+            for k, point in enumerate(pam.points):
+                bounds = f"{_fmt(regions.lower[k])},{_fmt(regions.upper[k])}"
+                empty = "true" if regions.empty[k] else "false"
+                lines.append(f"{axis_name},{layer},{k},{_fmt(point)},{bounds},{empty}")
     return "\n".join(lines) + "\n"
 
 
@@ -409,10 +383,7 @@ COMPLEXITY_CSV_HEADER = "kind,M,Nr,metrics,muls,adds"
 
 def run_complexity(orders, n_rx: int) -> tuple[str, str]:
     """Closed-form count model for all detector kinds; CSV plus a table."""
-    rows = []
-    for M in orders:
-        for kind in DETECTOR_KINDS:
-            rows.append(predicted_counts(kind, M, n_rx))
+    rows = [predicted_counts(kind, M, n_rx) for M in orders for kind in DETECTOR_KINDS]
     csv_lines = [COMPLEXITY_CSV_HEADER]
     for est in rows:
         csv_lines.append(
@@ -462,51 +433,48 @@ def load_config_file(path: str) -> dict[str, str]:
         overrides[key.strip()] = value.strip()
     return overrides
 
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ValueError("expected true/false")
+    return text.lower() in ("true", "1")
+
+
+# Each config key is the dest of the flag it overrides, with the converter
+# of its value; None keeps the text, as the flag does.
 _CONFIG_KEYS = {
-    "M": ("M", int),
-    "nr": ("n_rx", int),
-    "nt": ("n_tx", int),
-    "snr_db": ("snr_db_list", "float_list"),
-    "mu": ("mu_list", "float_list"),
-    "tones": ("tones", int),
-    "seed": ("seed", int),
-    "rho": ("rho", float),
-    "out": ("out", str),
-    "verify_first": ("verify_first", "bool"),
+    "M": int,
+    "nr": int,
+    "nt": int,
+    "snr_db": None,
+    "mu": None,
+    "tones": int,
+    "seed": int,
+    "rho": float,
+    "out": None,
+    "verify_first": _parse_bool,
 }
 
 
-def _apply_config_overrides(
-    cfg: SimConfig, overrides: dict[str, str], args: argparse.Namespace
-) -> None:
-    """Set the config file's keys on ``cfg``.
+def _config_from_args(args: argparse.Namespace) -> SimConfig:
+    """The run's configuration from the parsed flags.
 
-    Each key is named after its flag, so a subcommand takes exactly the
-    keys of the flags it declares; any other key is a usage error.
+    The config file's keys are set on ``args`` first, each on the flag it
+    is named after, so a subcommand takes exactly the keys of the flags
+    it declares; any other key is a usage error.
     """
-    for key, value in overrides.items():
+    for key, value in (load_config_file(args.config) if args.config else {}).items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
         if not hasattr(args, key):
             raise UsageError(f"config key {key!r} is not used by {args.command}")
-        attr, kind = _CONFIG_KEYS[key]
+        convert = _CONFIG_KEYS[key]
+        if key in ("snr_db", "mu"):
+            _parse_list(value, key)  # a malformed list names the key, not the flag
         try:
-            if kind == "float_list":
-                parsed = _parse_list(value, key)
-            elif kind == "bool":
-                if value.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError("expected true/false")
-                parsed = value.lower() in ("true", "1")
-            elif kind is str:
-                parsed = value
-            else:
-                parsed = kind(value)
+            setattr(args, key, value if convert is None else convert(value))
         except ValueError as err:
             raise UsageError(f"bad value for config key {key!r}: {err}") from None
-        setattr(cfg, attr, parsed)
-
-
-def _config_from_args(args: argparse.Namespace) -> SimConfig:
     cfg = SimConfig(
         M=args.M,
         n_rx=args.nr,
@@ -521,8 +489,6 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
         cfg.mu_list = _parse_list(args.mu, "--mu")
     if hasattr(args, "verify_first"):
         cfg.verify_first = args.verify_first
-    if args.config:
-        _apply_config_overrides(cfg, load_config_file(args.config), args)
     cfg.validate()
     return cfg
 
@@ -530,9 +496,12 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 def _write_out(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write output file {path!r}: {err}") from None
 
 
 @functools.cache
@@ -611,30 +580,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            cfg = _config_from_args(args)
-            status, report = run_verify(cfg)
-            _write_out(cfg.out, report)
-            if cfg.out is not None:
-                sys.stdout.write(report.splitlines()[-1] + "\n")
-            return status
-        if args.command == "simulate":
-            cfg = _config_from_args(args)
-            status, _, text = run_simulate(cfg)
-            if status != 0:
-                sys.stderr.write(text)
-                return status
-            _write_out(cfg.out, text)
-            return 0
-        if args.command == "regions":
-            cfg = _config_from_args(args)
-            llr_values = _parse_list(args.llr, "--llr")
-            text = run_regions(cfg, llr_values)
-            _write_out(cfg.out, text)
-            return 0
         if args.command == "complexity":
             orders = _parse_list(args.M, "--M", int)
             try:
@@ -645,10 +592,25 @@ def main(argv=None) -> int:
             if args.out is not None:
                 sys.stdout.write(table_text + "\n")
             return 0
+        cfg = _config_from_args(args)
+        if args.command == "verify":
+            status, report = run_verify(cfg)
+            _write_out(cfg.out, report)
+            if cfg.out is not None:
+                sys.stdout.write(report.splitlines()[-1] + "\n")
+            return status
+        if args.command == "simulate":
+            status, _, text = run_simulate(cfg)
+            if status != 0:
+                sys.stderr.write(text)
+                return status
+            _write_out(cfg.out, text)
+            return 0
+        _write_out(cfg.out, run_regions(cfg, _parse_list(args.llr, "--llr")))
+        return 0
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -105,6 +105,10 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     below = d + pam.below_bias  # d on j > k, -inf elsewhere, bit for bit
     lower = np.maximum.reduce(below, axis=1)  # -inf on the last row
     upper = np.minimum.reduce(d, axis=1, where=pam.above, initial=np.inf)  # +inf on row 0
+    # A crossover that overflowed or underflowed its divisor to 0 is not
+    # finite, and argmax could then send the survivor chain backwards.
+    if not all(map(math.isfinite, lower[:-1].tolist())):
+        raise ValueError(f"non-finite crossover in the region table (gain {gain!r})")
     j_star = below.argmax(axis=1).tolist()
 
     survivors = [0]

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo harness and its four subcommands."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -219,6 +220,33 @@ class TestMainCli:
         # M=16 gives 8 bits per tone; ber = errors / (10 * 8)
         assert float(row[5]) == int(row[3]) / 80
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--seed", "-1", "--tones", "2"],
+            ["regions", "--seed", "-3", "--llr", "0,0,0,0,0,0,0,0"],
+        ],
+    )
+    def test_negative_seed_exit_two(self, argv, capsys):
+        """A usage error, not numpy's traceback from the tone stream."""
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: seed must be nonnegative, got {argv[2]}\n"
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "sim.csv")
+        assert main(["simulate", "--M", "4", "--tones", "2", "--out", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write output file {path!r}: ")
+
+    def test_config_value_replaces_malformed_flag(self, tmp_path, capsys):
+        """The file's key is set on the flag before the flag is parsed."""
+        config = tmp_path / "grid.cfg"
+        config.write_text("mu = 0, 4\n")
+        argv = ["verify", "--M", "4", "--tones", "3"]
+        assert main([*argv, "--mu", "0,x", "--config", str(config)]) == 0
+        from_config = capsys.readouterr()
+        assert main([*argv, "--mu", "0,4"]) == 0
+        assert capsys.readouterr() == from_config
+
     def test_unknown_config_key_exit_two(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("tones_per_point = 10\n")
@@ -397,6 +425,7 @@ class TestConfigValidation:
             dict(snr_db_list=()),
             dict(snr_db_list=(np.nan,)),
             dict(snr_db_list=(10.0, -np.inf)),
+            dict(seed=-1),
         ],
     )
     def test_rejected(self, overrides):
@@ -436,17 +465,22 @@ class TestSnrRange:
         assert capsys.readouterr().err.startswith("error: snr_db (--snr-db)")
 
 
+def parse_points(report: str) -> list[dict]:
+    """The `key=value` fields of each `point` line of a verify report."""
+    return [
+        {k: v for k, v in (f.split("=") for f in line.split() if "=" in f)}
+        for line in report.splitlines()
+        if line.startswith("point ")
+    ]
+
+
 class TestSharedSweep:
     def test_verify_points_match_simulate_rows(self):
         """Both subcommands report the same tones with the same numbers."""
         cfg = dict(M=16, tones=40, snr_db_list=(0.0, 12.0), mu_list=(0.0, 4.0), rho=0.5)
         _, report = run_verify(small_config(**cfg))
         _, _, text = run_simulate(small_config(**cfg))
-        verify_points = [
-            {k: v for k, v in (f.split("=") for f in line.split() if "=" in f)}
-            for line in report.splitlines()
-            if line.startswith("point ")
-        ]
+        verify_points = parse_points(report)
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert len(verify_points) == len(rows) == 4
         for point, row in zip(verify_points, rows):
@@ -469,3 +503,47 @@ class TestSharedSweep:
         assert captured.out == ""
         assert captured.err.startswith("FAILURE: metric counts 32/96\n")
         assert "offending tone: point_index=0 tone_index=0" in captured.err
+
+    def test_failing_tones_reported_alike(self, monkeypatch, capsys):
+        """With a detector off on every third tone, verify's point lines
+        match the rows of simulate --no-verify-first, and verify names the
+        tone at which simulate stops."""
+        import sisodet.simcli as cli
+
+        def every_third_off():
+            calls = itertools.count(1)
+
+            def off_detect(obs, const, llrs):
+                result = sisodet.detect(obs, const, llrs)
+                if next(calls) % 3 == 0:
+                    result.llrs = result.llrs + 1e-3
+                return result
+
+            return off_detect
+
+        def run(*argv):
+            monkeypatch.setattr(cli, "detect", every_third_off())
+            flags = ["--M", "16", "--tones", "5", "--snr-db", "0,12", "--mu", "0,4", "--rho", "0.5"]
+            status = main([*argv, *flags])
+            return status, capsys.readouterr()
+
+        status, verify = run("verify")
+        assert status == 1
+        status, kept_going = run("simulate", "--no-verify-first")
+        assert status == 0
+        status, stopped = run("simulate")
+        assert status == 1
+        points = parse_points(verify.out)
+        rows = [line.split(",") for line in kept_going.out.splitlines()[1:]]
+        assert len(points) == len(rows) == 4
+        for point, row in zip(points, rows):
+            assert float(point["max_llr_discrepancy"]) > 1e-6
+            assert point["max_llr_discrepancy"] == row[7]
+            assert point["mean_total_metric_count"] == row[6]
+        offending = [
+            line
+            for text in (verify.out, stopped.err)
+            for line in text.splitlines()
+            if line.startswith("offending tone:")
+        ]
+        assert offending == ["offending tone: point_index=0 tone_index=2"] * 2

@@ -5,11 +5,17 @@ builder must agree with it everywhere, including on amplitudes it marks
 empty without ever computing their thresholds.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sisodet
 from sisodet import (
     axis_log_priors,
     build_constellation,
@@ -109,6 +115,24 @@ class TestBuildRegions:
     def test_nonfinite_logp_rejected(self, axis16):
         with pytest.raises(ValueError):
             build_regions(axis16, np.array([0.0, np.inf, 0.0, 0.0]), 1.0)
+
+    def test_nonfinite_crossover_rejected_not_hung(self):
+        """A gain small enough to underflow a crossover's divisor to 0 once
+        sent the survivor chain backwards forever.  The call runs in a child
+        process, so a hang fails the test instead of stalling the suite."""
+        code = (
+            "from sisodet import build_constellation, build_regions\n"
+            "try:\n"
+            "    build_regions(build_constellation(16).real_axis, [0, 1, 0, 0], 5e-324)\n"
+            "except ValueError as err:\n"
+            "    print(err)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sisodet.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert child.returncode == 0
+        assert child.stdout.startswith("non-finite crossover")
 
     def test_boundary_count_ceiling(self, axis64):
         rng = np.random.default_rng(32)

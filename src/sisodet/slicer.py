@@ -108,7 +108,7 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     # A crossover that overflowed or underflowed its divisor to 0 is not
     # finite, and argmax could then send the survivor chain backwards.
     if not all(map(math.isfinite, lower[:-1].tolist())):
-        raise ValueError(f"non-finite crossover in the region table (gain {gain!r})")
+        raise ValueError(f"non-finite crossover in the region table (gain {gain})")
     j_star = below.argmax(axis=1).tolist()
 
     survivors = [0]

@@ -18,7 +18,8 @@ first tone that failed the gate; ``verify`` prints its point lines from
 the records and ``simulate`` its CSV rows.  A ``--config`` file's keys are
 the flags' dests and are set on the parsed flags before the one
 ``SimConfig`` is built.  Exit codes: 0 success, 1 verification failure,
-2 usage error (including a negative seed and an unwritable ``--out``).
+2 usage error (including a negative seed and an unwritable ``--out``,
+which ``verify`` and ``simulate`` detect before the sweep).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -227,10 +229,10 @@ def _sweep(
     Every tone is drawn from its own (seed, point, tone) stream, detected
     by ``detect`` and by the exhaustive ``brute_force_maxlog``, and gated:
     it fails when an LLR is more than ``VERIFY_TOLERANCE`` from the
-    reference, or when the counters break the model (2M candidate
+    reference or NaN, or when the counters break the model (2M candidate
     metrics, total at most 4M - 2 sqrt(M)).  Each point's record counts
     the detector's and the reference's bit errors, the metric counts and
-    the largest LLR discrepancy over all its tones.  With
+    the largest LLR discrepancy over all its tones, NaN if any was.  With
     ``stop_at_failure`` the sweep returns at the first failing tone,
     before counting it, with the records of the points already finished;
     otherwise it runs to the end and returns the first failure it met.
@@ -249,7 +251,7 @@ def _sweep(
             result = detect(data.obs, const, data.llrs)
             reference = brute_force_maxlog(data.obs, const, data.llrs)
             disc = float(np.abs(result.llrs - reference).max())
-            over = disc > VERIFY_TOLERANCE
+            over = not disc <= VERIFY_TOLERANCE  # a NaN discrepancy fails too
             if failure is None and (
                 over
                 or result.candidate_metric_count != 2 * cfg.M
@@ -260,7 +262,7 @@ def _sweep(
                 failure = ToneFailure(p_idx, t_idx, (snr_db, mu), data, reason, over)
                 if stop_at_failure:
                     return records, failure
-            max_disc = max(max_disc, disc)
+            max_disc = float(np.maximum(max_disc, disc))  # keeps a NaN
             det_errors += int(np.count_nonzero((result.llrs > 0) != data.bits))
             orc_errors += int(np.count_nonzero((reference > 0) != data.bits))
             metric_sum += result.total_metric_count
@@ -298,7 +300,7 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
             f"max_llr_discrepancy={_fmt(rec.max_llr_discrepancy_vs_oracle)} "
             f"mean_total_metric_count={_fmt(rec.mean_total_metric_count)}"
         )
-    global_max = max([0.0, *(rec.max_llr_discrepancy_vs_oracle for rec in records)])
+    global_max = float(np.max([0.0, *(rec.max_llr_discrepancy_vs_oracle for rec in records)]))
     lines.append(f"global max_llr_discrepancy = {_fmt(global_max)}")
     lines.append(f"tolerance = {_fmt(VERIFY_TOLERANCE)}")
     if failure is not None:
@@ -504,6 +506,24 @@ def _write_out(path: str | None, text: str) -> None:
         raise UsageError(f"cannot write output file {path!r}: {err}") from None
 
 
+def _check_out(path: str | None) -> None:
+    """Fail before a sweep, not after it, when ``path`` cannot be written.
+
+    Opening for appending truncates nothing, and a file the check creates
+    is removed again, so a sweep that then fails leaves no file behind.
+    """
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as err:
+        raise UsageError(f"cannot write output file {path!r}: {err}") from None
+    if not existed:
+        os.remove(path)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every ``main``.
@@ -593,6 +613,8 @@ def main(argv=None) -> int:
                 sys.stdout.write(table_text + "\n")
             return 0
         cfg = _config_from_args(args)
+        if args.command in ("verify", "simulate"):
+            _check_out(cfg.out)
         if args.command == "verify":
             status, report = run_verify(cfg)
             _write_out(cfg.out, report)

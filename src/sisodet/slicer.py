@@ -22,22 +22,30 @@ first of them, the one nearest to k.
 The reported threshold count is the number of distinct pairs a walk
 along that chain needs: every pair with at least one surviving member,
 ``L(L-1)/2 - E(E-1)/2`` for ``E`` empty amplitudes.
+
+Both stage functions take a stack of tables on a leading axis, so
+``detect`` makes one stacked call per stage for a tone's four tables (two
+layers times two axes): ``build_regions`` evaluates one ``(4, L, L)``
+crossover tensor and checks it once, and ``slice_statistic`` slices four
+rows of statistics against the four tables.  A single table is the stack
+of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 import numpy as np
 
 from .constellation import PamAxis
 
 
-@dataclass
 class DecisionRegions:
-    """Interval table for one axis: amplitude k wins on [lower_k, upper_k).
+    """Interval tables, one per axis: amplitude k wins on [lower_k, upper_k).
 
+    ``lower``, ``upper`` and ``empty`` hold one table of ``L`` amplitudes,
+    shape ``(L,)``, or a stack of ``T`` tables, shape ``(T, L)``.
     Amplitudes are indexed as in PamAxis (descending).  The largest
     amplitude has upper = +inf, the smallest lower = -inf.  Empty
     amplitudes carry NaN bounds.  A decision statistic equal to a shared
@@ -45,28 +53,59 @@ class DecisionRegions:
     lowest-index tie-break of the score argmax.
 
     ``boundary_count`` is the number of distinct pairwise thresholds the
-    table depends on: pairs with at least one non-empty amplitude, at most
-    L(L-1)/2.
+    tables depend on, summed over the stack: per table, pairs with at least
+    one non-empty amplitude, at most L(L-1)/2.
 
-    ``_owners`` holds the surviving amplitudes in ascending order and
-    ``_ascending_bounds`` the lower thresholds of all but the smallest
-    (-inf) of them, ready for searchsorted.  Both are derived from
-    ``empty`` and ``lower`` unless given; ``build_regions`` passes them
-    when no amplitude is empty, as the axis's cached ``descending`` index
-    and the reversed view ``lower[-2::-1]``.
+    Slicing reads only ``lower``, so tables from ``build_regions`` pass
+    ``upper=None`` with their crossovers and reduce ``upper`` from them on
+    its first read.  ``_owners`` holds, per table, its surviving
+    amplitudes in ascending order and ``_bounds`` the lower thresholds of
+    all but the smallest (-inf) of them, ready for searchsorted; both are
+    derived from ``empty`` and ``lower`` unless given.
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
-    empty: np.ndarray
-    boundary_count: int
-    _owners: np.ndarray | None = field(default=None, repr=False, kw_only=True)
-    _ascending_bounds: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    def __init__(
+        self,
+        lower: np.ndarray,
+        upper: np.ndarray | None,
+        empty: np.ndarray,
+        boundary_count: int,
+        *,
+        _owners: Sequence[np.ndarray] | None = None,
+        _bounds: Sequence[np.ndarray] | None = None,
+        _crossovers: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        if upper is None and _crossovers is None:
+            raise ValueError("upper bounds are required")
+        self.lower = lower
+        self.empty = empty
+        self.boundary_count = boundary_count
+        self._upper = upper
+        self._crossovers = _crossovers  # (T, L, L) crossovers and the mask of j < k
+        if _owners is None:
+            L = lower.shape[-1]
+            _owners = [(~row).nonzero()[0][::-1] for row in empty.reshape(-1, L)]
+            _bounds = [row[kept[1:]] for row, kept in zip(lower.reshape(-1, L), _owners)]
+        self._owners = _owners
+        self._bounds = _bounds
 
-    def __post_init__(self):
-        if self._owners is None:
-            self._owners = (~self.empty).nonzero()[0][::-1]
-            self._ascending_bounds = self.lower[self._owners[1:]]
+    @property
+    def upper(self) -> np.ndarray:
+        """Upper interval bounds: each amplitude's smallest crossover with a
+        larger one, +inf for the largest, NaN when empty."""
+        if self._upper is None:
+            d, above = self._crossovers
+            upper = np.minimum.reduce(d, axis=2, where=above, initial=np.inf)
+            upper[self.empty.reshape(upper.shape)] = np.nan
+            self._upper = upper.reshape(self.lower.shape)
+            self._crossovers = None
+        return self._upper
+
+    def __repr__(self) -> str:
+        return (
+            f"DecisionRegions(lower={self.lower!r}, upper={self.upper!r}, "
+            f"empty={self.empty!r}, boundary_count={self.boundary_count!r})"
+        )
 
 
 def _logp_array(logp) -> np.ndarray:
@@ -76,10 +115,15 @@ def _logp_array(logp) -> np.ndarray:
     return arr
 
 
-def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
-    """Build the interval table for one axis, flagging empty regions.
+def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
+    """Build the interval tables for one axis, flagging empty regions.
 
-    Evaluates the ``(L, L)`` crossover matrix in one pass, with the same
+    ``logp`` holds one table's log-priors, shape ``(L,)``, or a stack of
+    ``T`` tables, shape ``(T, L)``; ``gain`` is one gain for every table or
+    one per table, shape ``(T,)``.  A single table is the stack of one,
+    and the result has the leading shape of ``logp``.
+
+    Evaluates the ``(T, L, L)`` crossover tensor in one pass, with the same
     floating expression as ``oracle.pairwise_boundary``, so every
     threshold is bit-identical to a pair-by-pair evaluation.  For each row k,
     ``j*(k)`` is the first column ``j > k`` holding the row's largest
@@ -88,65 +132,107 @@ def build_regions(pam: PamAxis, logp, gain: float) -> DecisionRegions:
     are the chain from amplitude 0 through ``j*``; a survivor's lower
     bound is its row maximum over ``j > k`` and its upper bound its row
     minimum over ``j < k`` (empty amplitudes included; they never tighten
-    a survivor's interval).  ``boundary_count`` is ``L(L-1)/2 - E(E-1)/2``
-    for ``E`` empty amplitudes: the crossovers between two empty
+    a survivor's interval); the upper bounds are reduced on first read.
+    ``boundary_count`` is ``L(L-1)/2 - E(E-1)/2`` for ``E`` empty
+    amplitudes, summed over the tables: the crossovers between two empty
     amplitudes are the only ones no bound depends on.
     """
-    if not gain > 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    gains = np.asarray(gain, float)
+    for g in gains.ravel().tolist():
+        if not g > 0:
+            raise ValueError(f"gain must be positive, got {g}")
     lp = _logp_array(logp)
     L = pam.L
     if L < 2:
         raise ValueError("need at least two amplitudes to slice")
-    if lp.size != L:
-        raise ValueError(f"expected {L} log-priors, got {lp.size}")
+    if lp.ndim not in (1, 2) or lp.shape[-1] != L:
+        raise ValueError(f"expected {L} log-priors per table, got shape {lp.shape}")
+    stack = lp.reshape(-1, L)
+    T = stack.shape[0]
+    if gains.ndim and (lp.ndim == 1 or gains.shape != (T,)):
+        raise ValueError(
+            f"expected one gain or {T} gains for log-priors of shape {lp.shape}, "
+            f"got gains of shape {gains.shape}"
+        )
 
-    d = pam.pair_midpoints - (lp[:, None] - lp) / (pam.pair_gaps * float(gain))
+    d = pam.pair_midpoints - (stack[:, :, None] - stack[:, None, :]) / (
+        pam.pair_gaps * gains.reshape(-1, 1, 1)
+    )
     below = d + pam.below_bias  # d on j > k, -inf elsewhere, bit for bit
-    lower = np.maximum.reduce(below, axis=1)  # -inf on the last row
-    upper = np.minimum.reduce(d, axis=1, where=pam.above, initial=np.inf)  # +inf on row 0
+    # Each row's first maximum and its value, gathered by flat index: no
+    # crossover is -0.0, so the gathered maximum is the reduced one bit for
+    # bit, and the gather costs less than a second pass over the rows.
+    j_star = below.argmax(axis=2)
+    lower = below.take(j_star + np.arange(0, T * L * L, L).reshape(T, L))  # -inf on last rows
     # A crossover that overflowed or underflowed its divisor to 0 is not
     # finite, and argmax could then send the survivor chain backwards.
-    if not all(map(math.isfinite, lower[:-1].tolist())):
-        raise ValueError(f"non-finite crossover in the region table (gain {gain})")
-    j_star = below.argmax(axis=1).tolist()
-
-    survivors = [0]
-    while survivors[-1] < L - 1:
-        survivors.append(j_star[survivors[-1]])
-    E = L - len(survivors)
-    if not E:  # most tables empty nothing and skip the owner search
-        return DecisionRegions(
-            lower=lower,
-            upper=upper,
-            empty=np.zeros(L, dtype=bool),
-            boundary_count=L * (L - 1) // 2,
-            _owners=pam.descending,
-            _ascending_bounds=lower[-2::-1],
+    if not all(map(math.isfinite, lower[:, :-1].ravel().tolist())):
+        row = int(np.isfinite(lower[:, :-1]).all(axis=1).argmin())
+        raise ValueError(
+            f"non-finite crossover in the region table (gain {np.broadcast_to(gains, T)[row]})"
         )
-    empty = np.ones(L, dtype=bool)
-    empty[survivors] = False
-    lower[empty] = upper[empty] = np.nan
+    boundary_count = emptied = 0
+    survivors = []
+    for nearest in j_star.tolist():
+        kept = [0]
+        while kept[-1] < L - 1:
+            kept.append(nearest[kept[-1]])
+        E = L - len(kept)
+        boundary_count += (L * (L - 1) - E * (E - 1)) // 2
+        emptied += E
+        survivors.append(kept)
+    empty = np.zeros((T, L), dtype=bool)
+    if not emptied:  # most tones empty nothing and skip the survivor search
+        owners = [pam.descending] * T
+        bounds = lower[:, -2::-1]
+    else:
+        owners, bounds = [], []
+        for row, gone, kept in zip(lower, empty, survivors):
+            if len(kept) == L:
+                ascending = pam.descending
+                bounds.append(row[-2::-1])
+            else:
+                ascending = np.array(kept[::-1])
+                gone[:] = True
+                gone[ascending] = False
+                bounds.append(row[ascending[1:]])
+            owners.append(ascending)
+        lower[empty] = np.nan
     return DecisionRegions(
-        lower=lower,
-        upper=upper,
-        empty=empty,
-        boundary_count=(L * (L - 1) - E * (E - 1)) // 2,
+        lower=lower.reshape(lp.shape),
+        upper=None,
+        empty=empty.reshape(lp.shape),
+        boundary_count=boundary_count,
+        _owners=owners,
+        _bounds=bounds,
+        _crossovers=(d, pam.above),
     )
 
 
 def slice_statistic(regions: DecisionRegions, z):
-    """Amplitude index whose interval contains z (vectorized over z).
+    """Amplitude index whose interval contains z.
 
-    Equivalent to the score argmax over all amplitudes; a z exactly on a
-    shared threshold goes to the higher-amplitude side.
+    For a single table, z may be a scalar or an array of any shape.  For a
+    stack of ``T`` tables, z is a ``(T, M)`` array and row t is sliced
+    against table t; the result has the shape of z.  Equivalent to the
+    score argmax over all amplitudes; a z exactly on a shared threshold
+    goes to the higher-amplitude side.
 
     Raises:
-        ValueError: If z is or holds NaN, which has no interval.
+        ValueError: If z is or holds NaN, which has no interval, or a stack
+            of tables gets statistics with another number of rows.
     """
     # A sum of squares is NaN exactly when an entry is (a square is never
     # negative, so infinities cannot cancel), and costs less than isnan.
     if math.isnan(np.vdot(z, z)):
         raise ValueError("decision statistic is NaN")
-    result = regions._owners[regions._ascending_bounds.searchsorted(z, side="right")]
-    return int(result) if np.ndim(z) == 0 else result
+    owners, bounds = regions._owners, regions._bounds
+    if regions.lower.ndim == 1:
+        result = owners[0][bounds[0].searchsorted(z, side="right")]
+        return int(result) if np.ndim(z) == 0 else result
+    if np.ndim(z) != 2 or len(z) != len(bounds):
+        raise ValueError(
+            f"expected one row of statistics per table ({len(bounds)}), "
+            f"got shape {np.shape(z)}"
+        )
+    return np.array([o[b.searchsorted(row, side="right")] for o, b, row in zip(owners, bounds, z)])

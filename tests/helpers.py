@@ -72,11 +72,21 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
     lower crossover comes from a non-adjacent amplitude, the amplitudes in
     between are flagged empty and the walk jumps past them.  Crossovers
     are cached so each pair is evaluated at most once, and
-    ``boundary_count`` counts the evaluations.
+    ``boundary_count`` counts the evaluations.  A ``(T, L)`` stack of
+    log-priors, with one gain or ``T`` of them, is walked table by table.
     """
+    lp = _logp_array(logp)
+    if lp.ndim == 2:
+        gains = np.broadcast_to(np.asarray(gain, float), lp.shape[:1])
+        tables = [build_regions_walk(pam, row, g) for row, g in zip(lp, gains)]
+        return DecisionRegions(
+            lower=np.array([t.lower for t in tables]),
+            upper=np.array([t.upper for t in tables]),
+            empty=np.array([t.empty for t in tables]),
+            boundary_count=sum(t.boundary_count for t in tables),
+        )
     if gain <= 0:
         raise ValueError(f"gain must be positive, got {gain}")
-    lp = _logp_array(logp)
     L = pam.L
     if lp.size != L:
         raise ValueError(f"expected {L} log-priors, got {lp.size}")
@@ -120,3 +130,11 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
     return DecisionRegions(
         lower=lower, upper=upper, empty=empty, boundary_count=len(cache)
     )
+
+
+def table_rows(regions) -> list:
+    """Each table of a stack as a single-table ``DecisionRegions``."""
+    return [
+        DecisionRegions(lower=lo, upper=up, empty=gone, boundary_count=0)
+        for lo, up, gone in zip(regions.lower, regions.upper, regions.empty)
+    ]

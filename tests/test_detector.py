@@ -10,13 +10,16 @@ import pytest
 from sisodet import detector
 
 from sisodet import (
+    DecisionRegions,
     brute_force_maxlog,
     build_constellation,
+    build_regions,
     clamp,
     detect,
     generate_channel,
     llrs_from_metrics,
     make_channel,
+    slice_statistic,
     transmit,
     uniform_priors,
     whiten,
@@ -24,7 +27,7 @@ from sisodet import (
 from sisodet.channel import WhitenedObservation
 from sisodet.constellation import VALID_ORDERS
 from sisodet.oracle import candidate_metric, quadratic_norm, residual_statistic
-from helpers import build_regions_walk, random_tone
+from helpers import build_regions_walk, random_tone, table_rows
 
 
 def _noiseless_obs(rng, const, n_rx=2):
@@ -162,6 +165,27 @@ class TestLlrsFromMetrics:
                 bit = const.labels[:, n]
                 expected[n] = max(metrics[bit == 1]) - max(metrics[bit == 0])
             assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("M", VALID_ORDERS)
+    def test_stack_equals_row_calls(self, M):
+        """A ``(T, M)`` stack gives the per-row LLRs bit for bit, with tied
+        metrics and entries of +-1e30."""
+        const = build_constellation(M)
+        rng = np.random.default_rng([61, M])
+        for T in (1, 2, 5):
+            metrics = rng.integers(-3, 4, (T, M)).astype(float)
+            metrics[rng.random((T, M)) < 0.1] = 1e30
+            metrics[rng.random((T, M)) < 0.1] = -1e30
+            stacked = llrs_from_metrics(metrics, const.split_bit_index)
+            rows = np.array([llrs_from_metrics(m, const.split_bit_index) for m in metrics])
+            assert stacked.shape == (T, const.q)
+            assert stacked.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 15), (2, 2, 16), (17,)])
+    def test_metric_shape_mismatch_named(self, shape):
+        const = build_constellation(16)
+        with pytest.raises(ValueError, match="one metric per labeled symbol required"):
+            llrs_from_metrics(np.zeros(shape), const.split_bit_index)
 
     def test_constant_shift_invariance(self):
         const = build_constellation(16)
@@ -306,6 +330,54 @@ class TestDetect:
             pruned += fast.boundary_count < 2 * (M - const.real_axis.L)
         if M > 4:
             assert pruned > 0  # feedback emptied amplitudes on some tones
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_stacked_stages_equal_row_calls(self, M, monkeypatch):
+        """Per tone, detect gives the same LLRs and counts bit for bit when
+        every stacked stage is replaced by one call per table or layer.
+
+        Strong feedback prunes tables, and mu = 200 drives the a-priori
+        LLRs into the +-l_max clamp.
+        """
+        const = build_constellation(M)
+        tones = []
+        for t in range(64):
+            rng = np.random.default_rng([62, M, t])
+            mu = (0.0, 4.0, 16.0, 200.0)[t % 4]
+            snr = (0.0, 10.0, 20.0, 120.0)[(t // 4) % 4]
+            obs, llrs, _, _, _, _ = random_tone(rng, const, snr_db=snr, rho=0.5, mu=mu)
+            tones.append((obs, llrs, detect(obs, const, llrs)))
+
+        def build_per_table(pam, logp, gain):
+            tables = [build_regions(pam, row, g) for row, g in zip(logp, gain)]
+            return DecisionRegions(
+                lower=np.array([r.lower for r in tables]),
+                upper=np.array([r.upper for r in tables]),
+                empty=np.array([r.empty for r in tables]),
+                boundary_count=sum(r.boundary_count for r in tables),
+            )
+
+        def slice_per_table(regions, z):
+            return np.array([slice_statistic(r, row) for r, row in zip(table_rows(regions), z)])
+
+        def llrs_per_layer(metrics, split_index):
+            return np.array([llrs_from_metrics(row, split_index) for row in metrics])
+
+        monkeypatch.setattr(detector, "build_regions", build_per_table)
+        monkeypatch.setattr(detector, "slice_statistic", slice_per_table)
+        monkeypatch.setattr(detector, "llrs_from_metrics", llrs_per_layer)
+        pruned = clamped = 0
+        for obs, llrs, stacked in tones:
+            rows = detect(obs, const, llrs)
+            assert stacked.llrs.tobytes() == rows.llrs.tobytes()
+            assert stacked.boundary_count == rows.boundary_count
+            assert stacked.candidate_metric_count == rows.candidate_metric_count == 2 * M
+            assert stacked.total_metric_count == rows.total_metric_count
+            pruned += stacked.boundary_count < 2 * (M - const.real_axis.L)
+            clamped += bool(np.any(np.abs(llrs.values) == 50.0))
+        assert clamped > 0
+        if M > 4:
+            assert pruned > 0
 
     def test_per_constellation_tables_die_with_it(self):
         """200 fresh constellations, each detected on, retain no memory.

@@ -409,6 +409,73 @@ class TestFailurePaths:
         assert records[0].max_llr_discrepancy_vs_oracle > 1e-6
 
 
+class TestNanGate:
+    """A detector whose LLRs are NaN fails the gate.  The NaN discrepancy
+    used to compare as within tolerance and drop out of the maximum."""
+
+    @staticmethod
+    def _nan_detect(obs, const, llrs):
+        result = sisodet.detect(obs, const, llrs)
+        result.llrs = result.llrs * np.nan
+        return result
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_exit_one(self, command, monkeypatch, capsys):
+        import sisodet.simcli as cli
+
+        monkeypatch.setattr(cli, "detect", self._nan_detect)
+        assert main([command, "--M", "4", "--tones", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILURE: llr discrepancy nan" in captured.out + captured.err
+        if command == "verify":
+            assert "global max_llr_discrepancy = nan\n" in captured.out
+            assert captured.out.endswith("RESULT: FAIL\n")
+
+    def test_no_verify_first_reports_nan(self, monkeypatch, capsys):
+        import sisodet.simcli as cli
+
+        monkeypatch.setattr(cli, "detect", self._nan_detect)
+        argv = ["simulate", "--M", "4", "--tones", "3", "--no-verify-first"]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header.split(",")[7] == "max_llr_discrepancy_vs_oracle"
+        assert row.split(",")[7] == "nan"
+
+
+class TestOutCheckedFirst:
+    """An ``--out`` that cannot be written fails before any tone is
+    detected, and the check leaves no file behind when the sweep fails."""
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_unwritable_out_detects_nothing(self, command, tmp_path, monkeypatch, capsys):
+        import sisodet.simcli as cli
+
+        calls = []
+
+        def counting_detect(obs, const, llrs):
+            calls.append(1)
+            return sisodet.detect(obs, const, llrs)
+
+        monkeypatch.setattr(cli, "detect", counting_detect)
+        path = str(tmp_path / "missing" / "out.txt")
+        assert main([command, "--M", "4", "--tones", "2", "--out", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write output file {path!r}: ")
+        assert calls == []
+
+    def test_failed_simulate_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        import sisodet.simcli as cli
+
+        monkeypatch.setattr(cli, "detect", TestFailurePaths._broken_detect)
+        new = tmp_path / "new.csv"
+        kept = tmp_path / "kept.csv"
+        kept.write_text("earlier results\n")
+        for path in (new, kept):
+            assert main(["simulate", "--M", "4", "--tones", "2", "--out", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("FAILURE: llr discrepancy")
+        assert not new.exists()
+        assert kept.read_text() == "earlier results\n"
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides",

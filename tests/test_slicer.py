@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import sisodet
 from sisodet import (
+    DecisionRegions,
     axis_log_priors,
     build_constellation,
     build_regions,
@@ -24,7 +25,7 @@ from sisodet import (
     slice_statistic,
 )
 from sisodet.oracle import argmax_slice_oracle, pairwise_boundary
-from helpers import build_regions_walk
+from helpers import build_regions_walk, table_rows
 
 finite_logp = st.floats(min_value=-60.0, max_value=60.0)
 
@@ -401,3 +402,157 @@ class TestWalkReference:
             )
         below = np.triu(d == regions.lower[:, None], 1)
         return int(np.sum(below.sum(axis=1) > 1))
+
+
+class TestStackedTables:
+    """A ``(T, L)`` stack of tables is T single-table calls, bit for bit."""
+
+    STACKS_PER_ORDER = 300
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_stack_equals_row_calls(self, M):
+        const = build_constellation(M)
+        pam = const.real_axis
+        rng = np.random.default_rng([37, M])
+        walk_battery = TestWalkReference()
+        pruned = 0
+        for i in range(self.STACKS_PER_ORDER):
+            T = 1 + i % 6
+            # the walk battery's four kinds of tables, mixed within a stack
+            tables = [
+                walk_battery._log_priors_and_gain(rng, const, int(k))
+                for k in rng.integers(0, 4, T)
+            ]
+            lp = np.array([t[0] for t in tables])
+            gains = np.array([t[1] for t in tables])
+            stacked = build_regions(pam, lp, gains)
+            rows = [build_regions(pam, row, g) for row, g in zip(lp, gains)]
+            for name in ("lower", "upper", "empty"):
+                expected = np.array([getattr(r, name) for r in rows])
+                assert getattr(stacked, name).tobytes() == expected.tobytes(), name
+            assert stacked.boundary_count == sum(r.boundary_count for r in rows)
+
+            # statistics exactly on every threshold of the row's table, one
+            # ulp above, on the amplitudes and at random
+            z = np.empty((T, 3 * pam.L + 4))
+            for t, r in enumerate(rows):
+                bounds = np.where(r.empty, 0.0, r.lower)[:-1]
+                z[t] = np.concatenate(
+                    [bounds, np.nextafter(bounds, np.inf), pam.points, rng.normal(0, 1, 6)]
+                )
+            sliced = slice_statistic(stacked, z)
+            expected = np.array([slice_statistic(r, zt) for r, zt in zip(rows, z)])
+            assert sliced.tobytes() == expected.tobytes()
+            # a stack rebuilt from its tables (the derived slicing tables) agrees
+            rebuilt = DecisionRegions(
+                lower=stacked.lower,
+                upper=stacked.upper,
+                empty=stacked.empty,
+                boundary_count=stacked.boundary_count,
+            )
+            assert slice_statistic(rebuilt, z).tobytes() == expected.tobytes()
+            assert all(
+                slice_statistic(r, zt).tobytes() == e.tobytes()
+                for r, zt, e in zip(table_rows(stacked), z, expected)
+            )
+            pruned += int(stacked.empty.any(axis=1).sum())
+        if pam.L > 2:
+            assert pruned > self.STACKS_PER_ORDER // 10
+        print(f"M={M}: {pruned} pruned tables in {self.STACKS_PER_ORDER} stacks")
+
+    def test_single_table_is_stack_of_one(self, axis16):
+        rng = np.random.default_rng(38)
+        for _ in range(50):
+            lp = rng.uniform(-50, 50, 4)
+            gain = rng.uniform(0.02, 8)
+            single = build_regions(axis16, lp, gain)
+            stacked = build_regions(axis16, lp[None], [gain])
+            assert single.lower.shape == (4,) and stacked.lower.shape == (1, 4)
+            for name in ("lower", "upper", "empty"):
+                assert getattr(single, name).tobytes() == getattr(stacked, name)[0].tobytes()
+            assert single.boundary_count == stacked.boundary_count
+            z = rng.normal(0, 1, 20)
+            assert np.array_equal(slice_statistic(single, z), slice_statistic(stacked, z[None])[0])
+
+    def test_one_gain_for_every_table(self, axis16):
+        lp = np.array([[0.0, -3.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        shared = build_regions(axis16, lp, 1.5)
+        each = build_regions(axis16, lp, [1.5, 1.5])
+        for name in ("lower", "upper", "empty"):
+            assert getattr(shared, name).tobytes() == getattr(each, name).tobytes()
+        assert shared.boundary_count == each.boundary_count == 12
+
+
+class TestStackedErrors:
+    """Named errors for one bad row of a stack and for mismatched shapes."""
+
+    def test_nan_gain_in_one_row(self, axis16):
+        with pytest.raises(ValueError, match="gain must be positive, got nan"):
+            build_regions(axis16, np.zeros((4, 4)), [1.0, 1.0, np.nan, 1.0])
+
+    def test_nonpositive_gain_in_one_row(self, axis16):
+        with pytest.raises(ValueError, match="gain must be positive, got -2.0"):
+            build_regions(axis16, np.zeros((3, 4)), [1.0, -2.0, 1.0])
+
+    def test_nonfinite_logp_in_one_row(self, axis16):
+        lp = np.zeros((3, 4))
+        lp[2, 1] = np.inf
+        with pytest.raises(ValueError, match="axis log-priors must be finite"):
+            build_regions(axis16, lp, 1.0)
+
+    def test_hand_built_table_needs_upper(self):
+        with pytest.raises(ValueError, match="upper bounds are required"):
+            DecisionRegions(lower=np.zeros(4), upper=None, empty=np.zeros(4, bool), boundary_count=6)
+
+    def test_nan_statistic_in_one_row(self, axis16):
+        regions = build_regions(axis16, np.zeros((3, 4)), 1.0)
+        z = np.zeros((3, 5))
+        z[1, 3] = np.nan
+        with pytest.raises(ValueError, match="decision statistic is NaN"):
+            slice_statistic(regions, z)
+
+    @pytest.mark.parametrize(
+        "logp, gain",
+        [
+            (np.zeros((4, 4)), [1.0, 1.0, 1.0]),  # three gains for four tables
+            (np.zeros((2, 4)), np.ones((2, 1))),  # gains not one per table
+            (np.zeros(4), [1.0, 1.0]),  # a single table with two gains
+        ],
+        ids=["gain-count", "gain-shape", "single-table-gains"],
+    )
+    def test_gain_shape_mismatch(self, axis16, logp, gain):
+        with pytest.raises(ValueError, match="expected one gain or"):
+            build_regions(axis16, logp, gain)
+
+    @pytest.mark.parametrize(
+        "logp", [np.zeros((2, 3)), np.zeros((2, 2, 4)), np.zeros(5)], ids=["width", "3d", "length"]
+    )
+    def test_logp_shape_mismatch(self, axis16, logp):
+        with pytest.raises(ValueError, match="expected 4 log-priors per table"):
+            build_regions(axis16, logp, 1.0)
+
+    @pytest.mark.parametrize(
+        "z", [np.zeros((3, 5)), np.zeros(4), 0.5], ids=["rows", "flat", "scalar"]
+    )
+    def test_statistic_rows_mismatch(self, axis16, z):
+        regions = build_regions(axis16, np.zeros((4, 4)), 1.0)
+        with pytest.raises(ValueError, match=r"one row of statistics per table \(4\)"):
+            slice_statistic(regions, z)
+
+    def test_nonfinite_crossover_in_one_row_rejected_not_hung(self):
+        """The stacked build checks every table before walking any; the
+        call runs in a child process, so a hang fails the test."""
+        code = (
+            "from sisodet import build_constellation, build_regions\n"
+            "try:\n"
+            "    build_regions(build_constellation(16).real_axis,\n"
+            "                  [[0, 0, 0, 0], [0, 1, 0, 0]], [1.0, 5e-324])\n"
+            "except ValueError as err:\n"
+            "    print(err)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sisodet.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert child.returncode == 0
+        assert child.stdout == "non-finite crossover in the region table (gain 5e-324)\n"

@@ -3,8 +3,11 @@
 Walks one PAM axis of a 16-QAM constellation through three prior
 settings: no feedback (midpoint thresholds), mild feedback (shifted
 thresholds), and strong one-sided feedback (amplitudes pruned away
-entirely).
+entirely).  Exits 1 if the slicer and the direct score argmax disagree
+on the pruned table.
 """
+
+import sys
 
 import numpy as np
 
@@ -60,5 +63,8 @@ print(f"  thresholds built : {regions.boundary_count} of {4 * 3 // 2} possible")
 grid = np.linspace(pam.points[-1] - 5 * pam.spacing, pam.points[0] + 5 * pam.spacing, 2001)
 sliced = slice_statistic(regions, grid)
 direct = argmax_slice_oracle(pam, logp, gain, grid)
-print("  slicer == argmax oracle on", grid.size, "grid points:", np.array_equal(sliced, direct))
+agree = np.array_equal(sliced, direct)
+print("  slicer == argmax oracle on", grid.size, "grid points:", agree)
 print("  amplitudes ever chosen:", sorted(set(sliced.tolist())))
+if not agree:
+    sys.exit(1)

@@ -79,12 +79,6 @@ class PamAxis:
         """``(L, L)`` mask of pairs (k, j) with ``j < k``: x[j] above x[k]."""
         return _frozen(np.tril(np.ones((self.L, self.L), dtype=bool), -1))
 
-    @cached_property
-    def descending(self) -> np.ndarray:
-        """Amplitude indices ``L-1, ..., 0``: every amplitude in ascending
-        order of value."""
-        return _frozen(np.arange(self.L - 1, -1, -1))
-
 
 @dataclass(frozen=True)
 class Constellation:

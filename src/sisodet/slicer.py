@@ -23,6 +23,14 @@ The reported threshold count is the number of distinct pairs a walk
 along that chain needs: every pair with at least one surviving member,
 ``L(L-1)/2 - E(E-1)/2`` for ``E`` empty amplitudes.
 
+Slicing follows one rule and reads only the lower bounds: the owner of a
+statistic z is the first non-empty amplitude, from the largest down,
+whose lower bound z reaches.  The running minimum of ``lower`` from the
+largest amplitude down, with the NaN bounds of empty amplitudes skipped,
+is sorted by construction, so one binary search per table finds the
+owner, even where near-tied crossovers leave two survivors' bounds out of
+order by one ulp.
+
 Both stage functions take a stack of tables on a leading axis, so
 ``detect`` makes one stacked call per stage for a tone's four tables (two
 layers times two axes): ``build_regions`` evaluates one ``(4, L, L)``
@@ -34,7 +42,6 @@ of one.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -56,12 +63,9 @@ class DecisionRegions:
     tables depend on, summed over the stack: per table, pairs with at least
     one non-empty amplitude, at most L(L-1)/2.
 
-    Slicing reads only ``lower``, so tables from ``build_regions`` pass
-    ``upper=None`` with their crossovers and reduce ``upper`` from them on
-    its first read.  ``_owners`` holds, per table, its surviving
-    amplitudes in ascending order and ``_bounds`` the lower thresholds of
-    all but the smallest (-inf) of them, ready for searchsorted; both are
-    derived from ``empty`` and ``lower`` unless given.
+    Slicing reads only ``lower``, where NaN marks an empty amplitude, so
+    tables from ``build_regions`` pass ``upper=None`` with their
+    crossovers and reduce ``upper`` from them on its first read.
     """
 
     def __init__(
@@ -71,8 +75,6 @@ class DecisionRegions:
         empty: np.ndarray,
         boundary_count: int,
         *,
-        _owners: Sequence[np.ndarray] | None = None,
-        _bounds: Sequence[np.ndarray] | None = None,
         _crossovers: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         if upper is None and _crossovers is None:
@@ -82,12 +84,6 @@ class DecisionRegions:
         self.boundary_count = boundary_count
         self._upper = upper
         self._crossovers = _crossovers  # (T, L, L) crossovers and the mask of j < k
-        if _owners is None:
-            L = lower.shape[-1]
-            _owners = [(~row).nonzero()[0][::-1] for row in empty.reshape(-1, L)]
-            _bounds = [row[kept[1:]] for row, kept in zip(lower.reshape(-1, L), _owners)]
-        self._owners = _owners
-        self._bounds = _bounds
 
     @property
     def upper(self) -> np.ndarray:
@@ -171,40 +167,23 @@ def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
         raise ValueError(
             f"non-finite crossover in the region table (gain {np.broadcast_to(gains, T)[row]})"
         )
-    boundary_count = emptied = 0
-    survivors = []
-    for nearest in j_star.tolist():
+    boundary_count = 0
+    empty = np.zeros((T, L), dtype=bool)
+    for nearest, gone in zip(j_star.tolist(), empty):
         kept = [0]
         while kept[-1] < L - 1:
             kept.append(nearest[kept[-1]])
         E = L - len(kept)
         boundary_count += (L * (L - 1) - E * (E - 1)) // 2
-        emptied += E
-        survivors.append(kept)
-    empty = np.zeros((T, L), dtype=bool)
-    if not emptied:  # most tones empty nothing and skip the survivor search
-        owners = [pam.descending] * T
-        bounds = lower[:, -2::-1]
-    else:
-        owners, bounds = [], []
-        for row, gone, kept in zip(lower, empty, survivors):
-            if len(kept) == L:
-                ascending = pam.descending
-                bounds.append(row[-2::-1])
-            else:
-                ascending = np.array(kept[::-1])
-                gone[:] = True
-                gone[ascending] = False
-                bounds.append(row[ascending[1:]])
-            owners.append(ascending)
-        lower[empty] = np.nan
+        if E:
+            gone[:] = True
+            gone[kept] = False
+    lower[empty] = np.nan
     return DecisionRegions(
         lower=lower.reshape(lp.shape),
         upper=None,
         empty=empty.reshape(lp.shape),
         boundary_count=boundary_count,
-        _owners=owners,
-        _bounds=bounds,
         _crossovers=(d, pam.above),
     )
 
@@ -212,11 +191,15 @@ def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
 def slice_statistic(regions: DecisionRegions, z):
     """Amplitude index whose interval contains z.
 
+    The owner of z is the first non-empty amplitude, from the largest
+    down, whose lower bound z reaches: the first k with ``lower_k <= z``,
+    skipping the NaN bounds of empty amplitudes.  Slicing reads only
+    ``lower``.  A z exactly on a threshold goes to the higher amplitude,
+    as the lowest-index tie-break of the score argmax does.
+
     For a single table, z may be a scalar or an array of any shape.  For a
     stack of ``T`` tables, z is a ``(T, M)`` array and row t is sliced
-    against table t; the result has the shape of z.  Equivalent to the
-    score argmax over all amplitudes; a z exactly on a shared threshold
-    goes to the higher-amplitude side.
+    against table t; the result has the shape of z.
 
     Raises:
         ValueError: If z is or holds NaN, which has no interval, or a stack
@@ -226,13 +209,19 @@ def slice_statistic(regions: DecisionRegions, z):
     # negative, so infinities cannot cancel), and costs less than isnan.
     if math.isnan(np.vdot(z, z)):
         raise ValueError("decision statistic is NaN")
-    owners, bounds = regions._owners, regions._bounds
-    if regions.lower.ndim == 1:
-        result = owners[0][bounds[0].searchsorted(z, side="right")]
+    lower = regions.lower
+    L = lower.shape[-1]
+    # Running minimum from the largest amplitude down, read from the
+    # smallest up: fmin skips NaN, so an empty amplitude takes the bound of
+    # the survivor above it, and every row is sorted by construction.  The
+    # number of these bounds z reaches counts the amplitudes below its owner.
+    bounds = np.fmin.accumulate(lower, axis=-1)[..., -2::-1]
+    if lower.ndim == 1:
+        result = L - 1 - bounds.searchsorted(z, side="right")
         return int(result) if np.ndim(z) == 0 else result
     if np.ndim(z) != 2 or len(z) != len(bounds):
         raise ValueError(
             f"expected one row of statistics per table ({len(bounds)}), "
             f"got shape {np.shape(z)}"
         )
-    return np.array([o[b.searchsorted(row, side="right")] for o, b, row in zip(owners, bounds, z)])
+    return L - 1 - np.array([b.searchsorted(row, side="right") for b, row in zip(bounds, z)])

@@ -407,8 +407,7 @@ class TestDetect:
         detect(obs, const, llrs)
         axis = const.real_axis
         tables = (const.bit_weights, const.bit_mask, const.split_bit_index, axis.bit_weights,
-                  axis.pair_midpoints, axis.pair_gaps, axis.below_bias, axis.above,
-                  axis.descending)
+                  axis.pair_midpoints, axis.pair_gaps, axis.below_bias, axis.above)
         refs = [weakref.ref(table) for table in tables]
         del const, axis, tables
         gc.collect()

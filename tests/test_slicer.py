@@ -235,6 +235,84 @@ class TestSlice:
         )
 
 
+class TestSlicingRule:
+    """The owner of z is the first non-empty amplitude, from the largest
+    down, whose lower bound z reaches, whatever else is sliced with z."""
+
+    @staticmethod
+    def _rule(lower, empty, z) -> int:
+        return next(k for k in range(len(lower)) if not empty[k] and lower[k] <= z)
+
+    def test_one_ulp_window_has_one_owner(self, axis16):
+        """Near-tied crossovers put amplitude 1's lower bound one ulp above
+        amplitude 0's, with nothing empty.  A z in that window once got an
+        owner that depended on the other statistics in its array.
+
+        The rounded score argmax gives 2 at z = lower[0]; the slice follows
+        the table's own intervals instead, far inside the 1e-6 gate.
+        """
+        logp = [0.0, 0.0, 1.0, -2.0]
+        regions = build_regions(axis16, logp, np.nextafter(1.25, 0))
+        lower = regions.lower
+        assert not regions.empty.any()
+        # two ulps below lower[0] up to two ulps above lower[1]
+        z = lower[0] + np.arange(-2, 4) * np.spacing(lower[0])
+        assert z[3] == lower[1]
+        expected = np.array([2, 2, 0, 0, 0, 0])
+
+        assert [slice_statistic(regions, v) for v in z] == expected.tolist()
+        assert slice_statistic(regions, lower[0]) == 0
+        assert np.array_equal(slice_statistic(regions, z), expected)
+        assert np.array_equal(slice_statistic(regions, z[::-1]), expected[::-1])
+        order = np.random.default_rng(39).permutation(z.size)
+        assert np.array_equal(slice_statistic(regions, z[order]), expected[order])
+        stack = build_regions(
+            axis16,
+            [[0.0, 0.0, 0.0, 0.0], [0.0, -3.0, 0.0, 0.0], logp, [2.0, 0.0, 0.0, -1.0]],
+            [1.0, 1.0, np.nextafter(1.25, 0), 0.5],
+        )
+        assert np.array_equal(slice_statistic(stack, np.tile(z, (4, 1)))[2], expected)
+
+    TABLES_PER_ORDER = 20000
+
+    @pytest.mark.parametrize("M", [16, 64, 256])
+    def test_tied_gain_battery(self, M):
+        """Integer log-priors with gains 2^k / spacing^2, as is or one ulp
+        off: many crossovers tie, and some survivors' lower bounds come out
+        of order by one ulp.  Statistics on every bound and one ulp on each
+        side slice by the rule, as scalars and as rows of a stack."""
+        pam = build_constellation(M).real_axis
+        L = pam.L
+        rng = np.random.default_rng([39, M])
+        unsorted = 0
+        for _ in range(self.TABLES_PER_ORDER // 500):
+            logp = rng.integers(-3, 4, (500, L)).astype(float)
+            gains = 2.0 ** rng.integers(-4, 5, 500) / pam.spacing**2
+            nudge = rng.integers(-1, 2, 500)
+            gains = np.nextafter(gains, gains + nudge)  # one ulp down, as is or up
+            stack = build_regions(pam, logp, gains)
+
+            bounds = np.where(stack.empty, 0.0, stack.lower)[:, :-1]
+            z = np.concatenate(
+                [bounds, np.nextafter(bounds, -np.inf), np.nextafter(bounds, np.inf)], axis=1
+            )
+            expected = np.array([
+                [self._rule(lower, empty, v) for v in row]
+                for lower, empty, row in zip(stack.lower.tolist(), stack.empty.tolist(), z.tolist())
+            ])
+            assert np.array_equal(slice_statistic(stack, z), expected)
+            assert np.array_equal(slice_statistic(stack, z[:, ::-1]), expected[:, ::-1])
+            for table, row, owners in zip(table_rows(stack), z, expected):
+                assert [slice_statistic(table, v) for v in row] == owners.tolist()
+
+            unsorted += sum(
+                bool(np.any(np.diff(lower[~empty]) > 0))
+                for lower, empty in zip(stack.lower, stack.empty)
+            )
+        assert unsorted > 0  # the battery reaches out-of-order survivor bounds
+        print(f"M={M}: {unsorted} tables with out-of-order survivor bounds")
+
+
 class TestNanRejected:
     """NaN fails every ``gain > 0`` and interval test; it used to give NaN
     bounds, or amplitude 0 from the slicer, with no error."""

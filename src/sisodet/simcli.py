@@ -365,18 +365,17 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
 
     C = noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx)
     obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
-    gains = {1: obs.gain1, 2: obs.gain2}
+    pam = const.real_axis  # both axes of a square constellation are one PamAxis
+    tables = [(layer, axis) for layer in (1, 2) for axis in ("real", "imag")]
+    logp = [axis_log_priors(llrs, layer, axis, pam) for layer, axis in tables]
+    regions = build_regions(pam, logp, [obs.gain1, obs.gain1, obs.gain2, obs.gain2])
 
     lines = [REGIONS_CSV_HEADER]
-    for layer in (1, 2):
-        for axis_name, pam in (("real", const.real_axis), ("imag", const.imag_axis)):
-            regions = build_regions(
-                pam, axis_log_priors(llrs, layer, axis_name, pam), gains[layer]
-            )
-            for k, point in enumerate(pam.points):
-                bounds = f"{_fmt(regions.lower[k])},{_fmt(regions.upper[k])}"
-                empty = "true" if regions.empty[k] else "false"
-                lines.append(f"{axis_name},{layer},{k},{_fmt(point)},{bounds},{empty}")
+    for (layer, axis), lo, up, gone in zip(tables, regions.lower, regions.upper, regions.empty):
+        for k, point in enumerate(pam.points):
+            bounds = f"{_fmt(lo[k])},{_fmt(up[k])}"
+            empty = "true" if gone[k] else "false"
+            lines.append(f"{axis},{layer},{k},{_fmt(point)},{bounds},{empty}")
     return "\n".join(lines) + "\n"
 
 

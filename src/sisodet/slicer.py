@@ -19,9 +19,9 @@ and ``j*`` can never win: the surviving amplitudes are the chain
 several smaller amplitudes tie for the largest crossover, ``j*`` is the
 first of them, the one nearest to k.
 
-The reported threshold count is the number of distinct pairs a walk
-along that chain needs: every pair with at least one surviving member,
-``L(L-1)/2 - E(E-1)/2`` for ``E`` empty amplitudes.
+The lower bounds are the table, with NaN for an empty amplitude; the
+empty flags and the threshold count are read from them.  A walk along the
+chain needs the pairs with a survivor, ``L(L-1)/2 - E(E-1)/2`` for ``E`` empty.
 
 Slicing follows one rule and reads only the lower bounds: the owner of a
 statistic z is the first non-empty amplitude, from the largest down,
@@ -51,39 +51,50 @@ from .constellation import PamAxis
 class DecisionRegions:
     """Interval tables, one per axis: amplitude k wins on [lower_k, upper_k).
 
-    ``lower``, ``upper`` and ``empty`` hold one table of ``L`` amplitudes,
-    shape ``(L,)``, or a stack of ``T`` tables, shape ``(T, L)``.
-    Amplitudes are indexed as in PamAxis (descending).  The largest
-    amplitude has upper = +inf, the smallest lower = -inf.  Empty
-    amplitudes carry NaN bounds.  A decision statistic equal to a shared
-    threshold belongs to the higher-amplitude side, matching the
-    lowest-index tie-break of the score argmax.
+    ``lower`` is the table: one table of ``L`` amplitudes, shape ``(L,)``,
+    or a stack of ``T`` tables, shape ``(T, L)``, indexed as in PamAxis
+    (descending).  The largest amplitude has upper = +inf, the smallest
+    lower = -inf, and an empty one NaN bounds.  A statistic equal to a
+    shared threshold belongs to the higher-amplitude side, matching the
+    lowest-index tie-break of the score argmax.  ``empty`` and
+    ``boundary_count`` are read from the NaNs of ``lower``: no bound
+    depends on a crossover of two empty amplitudes, so a table with ``E``
+    of them depends on ``L(L-1)/2 - E(E-1)/2`` distinct thresholds.
 
-    ``boundary_count`` is the number of distinct pairwise thresholds the
-    tables depend on, summed over the stack: per table, pairs with at least
-    one non-empty amplitude, at most L(L-1)/2.
-
-    Slicing reads only ``lower``, where NaN marks an empty amplitude, so
-    tables from ``build_regions`` pass ``upper=None`` with their
-    crossovers and reduce ``upper`` from them on its first read.
+    Tables from ``build_regions``, checked there, pass ``upper=None`` with
+    their crossovers and reduce ``upper`` from them on its first read.  A
+    hand-built table must give ``upper`` of the shape of ``lower``, and each
+    row of ``lower`` must be finite or NaN and end in -inf, or a named
+    ``ValueError`` is raised.
     """
 
     def __init__(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray | None,
-        empty: np.ndarray,
-        boundary_count: int,
-        *,
-        _crossovers: tuple[np.ndarray, np.ndarray] | None = None,
+        self, lower, upper=None, *, _crossovers: tuple[np.ndarray, np.ndarray] | None = None
     ):
-        if upper is None and _crossovers is None:
-            raise ValueError("upper bounds are required")
+        if _crossovers is None:
+            lower = np.asarray(lower, float)
+            if lower.ndim not in (1, 2) or lower.shape[-1] < 2:
+                raise ValueError(f"need (L,) or (T, L) lower bounds, L >= 2, got {lower.shape}")
+            if np.isinf(lower[..., :-1]).any() or not (lower[..., -1] == -np.inf).all():
+                raise ValueError("each row of lower bounds must be finite or NaN, then -inf")
+            if upper is None:
+                raise ValueError("upper bounds are required")
+            upper = np.asarray(upper, float)
+            if upper.shape != lower.shape:
+                raise ValueError(f"upper bounds have shape {upper.shape}, lower {lower.shape}")
         self.lower = lower
-        self.empty = empty
-        self.boundary_count = boundary_count
         self._upper = upper
         self._crossovers = _crossovers  # (T, L, L) crossovers and the mask of j < k
+
+    @property
+    def empty(self) -> np.ndarray:
+        return np.isnan(self.lower)
+
+    @property
+    def boundary_count(self) -> int:
+        L = self.lower.shape[-1]
+        E = self.empty.reshape(-1, L).sum(axis=1).tolist()
+        return sum(L * (L - 1) - e * (e - 1) for e in E) // 2
 
     @property
     def upper(self) -> np.ndarray:
@@ -98,10 +109,7 @@ class DecisionRegions:
         return self._upper
 
     def __repr__(self) -> str:
-        return (
-            f"DecisionRegions(lower={self.lower!r}, upper={self.upper!r}, "
-            f"empty={self.empty!r}, boundary_count={self.boundary_count!r})"
-        )
+        return f"DecisionRegions(lower={self.lower!r}, upper={self.upper!r})"
 
 
 def _logp_array(logp) -> np.ndarray:
@@ -124,14 +132,12 @@ def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
     threshold is bit-identical to a pair-by-pair evaluation.  For each row k,
     ``j*(k)`` is the first column ``j > k`` holding the row's largest
     crossover, so an exact tie goes to the tied partner nearest to k
-    (the higher amplitude).  The surviving amplitudes
-    are the chain from amplitude 0 through ``j*``; a survivor's lower
-    bound is its row maximum over ``j > k`` and its upper bound its row
-    minimum over ``j < k`` (empty amplitudes included; they never tighten
-    a survivor's interval); the upper bounds are reduced on first read.
-    ``boundary_count`` is ``L(L-1)/2 - E(E-1)/2`` for ``E`` empty
-    amplitudes, summed over the tables: the crossovers between two empty
-    amplitudes are the only ones no bound depends on.
+    (the higher amplitude).  The surviving amplitudes are the chain from
+    amplitude 0 through ``j*``, and the walk along it sets the lower bound
+    of every amplitude it skips to NaN.  A survivor's lower bound is its row
+    maximum over ``j > k`` and its upper bound its row minimum over ``j < k``
+    (empty amplitudes included; they never tighten a survivor's interval);
+    the upper bounds are reduced on first read.
     """
     gains = np.asarray(gain, float)
     for g in gains.ravel().tolist():
@@ -167,25 +173,18 @@ def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
         raise ValueError(
             f"non-finite crossover in the region table (gain {np.broadcast_to(gains, T)[row]})"
         )
-    boundary_count = 0
-    empty = np.zeros((T, L), dtype=bool)
-    for nearest, gone in zip(j_star.tolist(), empty):
-        kept = [0]
-        while kept[-1] < L - 1:
-            kept.append(nearest[kept[-1]])
-        E = L - len(kept)
-        boundary_count += (L * (L - 1) - E * (E - 1)) // 2
-        if E:
-            gone[:] = True
-            gone[kept] = False
-    lower[empty] = np.nan
-    return DecisionRegions(
-        lower=lower.reshape(lp.shape),
-        upper=None,
-        empty=empty.reshape(lp.shape),
-        boundary_count=boundary_count,
-        _crossovers=(d, pam.above),
-    )
+    # Walk each table's survivor chain; the flat indices it jumps over are empty.
+    skipped = []
+    for start, nearest in zip(range(0, T * L, L), j_star.tolist()):
+        k = 0
+        while k < L - 1:
+            j = nearest[k]
+            if j > k + 1:
+                skipped += range(start + k + 1, start + j)
+            k = j
+    if skipped:
+        lower.put(skipped, np.nan)
+    return DecisionRegions(lower.reshape(lp.shape), _crossovers=(d, pam.above))
 
 
 def slice_statistic(regions: DecisionRegions, z):

@@ -70,10 +70,11 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
     amplitudes (first maximum on ties, by the strict ``>``) and the upper
     threshold the min crossover with all larger ones.  When the binding
     lower crossover comes from a non-adjacent amplitude, the amplitudes in
-    between are flagged empty and the walk jumps past them.  Crossovers
-    are cached so each pair is evaluated at most once, and
-    ``boundary_count`` counts the evaluations.  A ``(T, L)`` stack of
-    log-priors, with one gain or ``T`` of them, is walked table by table.
+    between keep NaN bounds and the walk jumps past them.  Crossovers
+    are cached so each pair is evaluated at most once, and the number of
+    evaluations must equal the table's ``boundary_count``, which is read
+    from the NaNs.  A ``(T, L)`` stack of log-priors, with one gain or
+    ``T`` of them, is walked table by table.
     """
     lp = _logp_array(logp)
     if lp.ndim == 2:
@@ -82,8 +83,6 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
         return DecisionRegions(
             lower=np.array([t.lower for t in tables]),
             upper=np.array([t.upper for t in tables]),
-            empty=np.array([t.empty for t in tables]),
-            boundary_count=sum(t.boundary_count for t in tables),
         )
     if gain <= 0:
         raise ValueError(f"gain must be positive, got {gain}")
@@ -105,7 +104,6 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
 
     lower = np.full(L, np.nan)
     upper = np.full(L, np.nan)
-    empty = np.zeros(L, dtype=bool)
 
     k = 0
     while k <= L - 1:
@@ -121,20 +119,16 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
         else:
             lower[k] = -np.inf
         upper[k] = min(crossover(k, j) for j in range(k)) if k > 0 else np.inf
-        if k < L - 1 and j_star > k + 1:
-            empty[k + 1 : j_star] = True
-            k = j_star
-        else:
-            k += 1
+        k = j_star  # the amplitudes in between keep NaN bounds: empty
 
-    return DecisionRegions(
-        lower=lower, upper=upper, empty=empty, boundary_count=len(cache)
-    )
+    regions = DecisionRegions(lower=lower, upper=upper)
+    # the evaluated pairs, counted independently of the NaNs
+    assert len(cache) == regions.boundary_count, (len(cache), regions.boundary_count)
+    return regions
 
 
 def table_rows(regions) -> list:
     """Each table of a stack as a single-table ``DecisionRegions``."""
     return [
-        DecisionRegions(lower=lo, upper=up, empty=gone, boundary_count=0)
-        for lo, up, gone in zip(regions.lower, regions.upper, regions.empty)
+        DecisionRegions(lower=lo, upper=up) for lo, up in zip(regions.lower, regions.upper)
     ]

@@ -353,8 +353,6 @@ class TestDetect:
             return DecisionRegions(
                 lower=np.array([r.lower for r in tables]),
                 upper=np.array([r.upper for r in tables]),
-                empty=np.array([r.empty for r in tables]),
-                boundary_count=sum(r.boundary_count for r in tables),
             )
 
         def slice_per_table(regions, z):

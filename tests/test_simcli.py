@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sisodet
-from sisodet import build_constellation, detect, uniform_priors
+from sisodet import axis_log_priors, build_constellation, clamp, detect, uniform_priors
 from sisodet.oracle import pairwise_boundary
 from sisodet.simcli import (
     SimConfig,
@@ -25,6 +25,7 @@ from sisodet.simcli import (
     sigma2_from_snr_db,
     tone_rng,
 )
+from helpers import build_regions_walk
 
 
 def small_config(**overrides) -> SimConfig:
@@ -137,6 +138,36 @@ class TestRunRegions:
             assert 0 <= int(idx) < 8
             float(point), float(lower), float(upper)
             assert empty in ("true", "false")
+
+    @pytest.mark.parametrize(
+        "M, snr_db, llr, pruned",
+        [
+            (16, 0.0, [0, 0, 0, 0, 0, -45.0, 0, 0], True),
+            (64, 30.0, np.linspace(-3, 3, 12), False),
+        ],
+        ids=["pruned", "unpruned"],
+    )
+    def test_rows_match_walk_reference(self, M, snr_db, llr, pruned):
+        """Every row is the pair-by-pair walk's table for that layer's gain,
+        in the order layer 1 real, layer 1 imag, layer 2 real, layer 2 imag."""
+        cfg = small_config(M=M, snr_db_list=(snr_db,))
+        const = build_constellation(M)
+        pam = const.real_axis
+        C = noise_covariance(sigma2_from_snr_db(snr_db), cfg.rho, cfg.n_rx)
+        obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
+        llrs = clamp(np.reshape(np.asarray(llr, float), (2, const.q)))
+        expected = []
+        for layer, gain in ((1, obs.gain1), (2, obs.gain2)):
+            for axis in ("real", "imag"):
+                walk = build_regions_walk(pam, axis_log_priors(llrs, layer, axis, pam), gain)
+                for k, point in enumerate(pam.points):
+                    values = (point, walk.lower[k], walk.upper[k])
+                    bounds = ",".join(format(float(v), ".17g") for v in values)
+                    flag = "true" if walk.empty[k] else "false"
+                    expected.append(f"{axis},{layer},{k},{bounds},{flag}")
+        rows = run_regions(cfg, llr).splitlines()[1:]
+        assert rows == expected
+        assert any(row.endswith("true") for row in rows) == pruned
 
     def test_wrong_llr_count_rejected(self):
         with pytest.raises(UsageError):

@@ -522,12 +522,7 @@ class TestStackedTables:
             expected = np.array([slice_statistic(r, zt) for r, zt in zip(rows, z)])
             assert sliced.tobytes() == expected.tobytes()
             # a stack rebuilt from its tables (the derived slicing tables) agrees
-            rebuilt = DecisionRegions(
-                lower=stacked.lower,
-                upper=stacked.upper,
-                empty=stacked.empty,
-                boundary_count=stacked.boundary_count,
-            )
+            rebuilt = DecisionRegions(lower=stacked.lower, upper=stacked.upper)
             assert slice_statistic(rebuilt, z).tobytes() == expected.tobytes()
             assert all(
                 slice_statistic(r, zt).tobytes() == e.tobytes()
@@ -561,6 +556,36 @@ class TestStackedTables:
         assert shared.boundary_count == each.boundary_count == 12
 
 
+class TestHandBuiltTables:
+    """A hand-built table is its lower bounds: NaN marks an empty amplitude,
+    and ``empty`` and ``boundary_count`` are read from the NaNs."""
+
+    def test_nan_bound_slices_past_empty_amplitude(self):
+        regions = DecisionRegions(lower=[1, np.nan, -1, -np.inf], upper=[np.inf, np.nan, 1, -1])
+        assert slice_statistic(regions, 0.5) == 2
+        assert regions.empty.tolist() == [False, True, False, False]
+        assert regions.boundary_count == 6  # one empty amplitude leaves every pair
+
+    def test_repr_rebuilds_the_table(self):
+        regions = DecisionRegions(
+            lower=[[1, np.nan, -1, -np.inf]], upper=[[np.inf, np.nan, 1, -1]]
+        )
+        names = {"array": np.array, "inf": np.inf, "nan": np.nan}
+        rebuilt = eval(repr(regions), {"DecisionRegions": DecisionRegions, **names})
+        for name in ("lower", "upper"):
+            assert getattr(rebuilt, name).tobytes() == getattr(regions, name).tobytes()
+
+    def test_boundary_count_summed_over_stack(self):
+        lower = [[1, np.nan, np.nan, -np.inf], [1, 0, -1, -np.inf], [np.nan] * 3 + [-np.inf]]
+        regions = DecisionRegions(lower=lower, upper=np.zeros((3, 4)))
+        # L(L-1)/2 - E(E-1)/2 per table for E = 2, 0 and 3
+        assert regions.boundary_count == (6 - 1) + 6 + (6 - 3)
+        assert regions.empty.sum(axis=1).tolist() == [2, 0, 3]
+
+
+ROW_RULE = "each row of lower bounds must be finite or NaN, then -inf"
+
+
 class TestStackedErrors:
     """Named errors for one bad row of a stack and for mismatched shapes."""
 
@@ -580,7 +605,26 @@ class TestStackedErrors:
 
     def test_hand_built_table_needs_upper(self):
         with pytest.raises(ValueError, match="upper bounds are required"):
-            DecisionRegions(lower=np.zeros(4), upper=None, empty=np.zeros(4, bool), boundary_count=6)
+            DecisionRegions(lower=[1, 0, -1, -np.inf], upper=None)
+
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            ([1, 0, -1, -2], [np.inf, 1, 0, -1], ROW_RULE),
+            ([1, 0, -1, np.nan], [np.inf, 1, 0, -1], ROW_RULE),
+            ([1, np.inf, -1, -np.inf], [np.inf, 1, 0, -1], ROW_RULE),
+            ([1, 0, -1, -np.inf], [np.inf, 1, 0], r"upper bounds have shape \(3,\), lower \(4,\)"),
+            ([[1, 0, -1, -np.inf]], [np.inf, 1, 0, -1], r"shape \(4,\), lower \(1, 4\)"),
+            ([-np.inf], [np.inf], r"need \(L,\) or \(T, L\) lower bounds, L >= 2, got \(1,\)"),
+            (np.full((1, 1, 2), -np.inf), None, r"L >= 2, got \(1, 1, 2\)"),
+        ],
+        ids=[
+            "finite-last", "nan-last", "inf-inside", "upper-length", "upper-rows", "one-level", "3d"
+        ],
+    )
+    def test_hand_built_table_errors(self, lower, upper, message):
+        with pytest.raises(ValueError, match=message):
+            DecisionRegions(lower=lower, upper=upper)
 
     def test_nan_statistic_in_one_row(self, axis16):
         regions = build_regions(axis16, np.zeros((3, 4)), 1.0)

@@ -131,9 +131,9 @@ def detect(
     x1.real[1] = partner[2]
     x1.imag[1] = partner[3]
     # Antenna axis first and each product written symbol * signature, as in
-    # oracle.pair_metric_table: numpy can round h * x and x * h differently,
-    # and the LLRs match the oracle exactly at high SNR only while every
-    # residual is rounded the same way in both.
+    # the oracle's block kernel oracle._pair_metric_blocks: numpy can round
+    # h * x and x * h differently, and the LLRs match the oracle exactly at
+    # high SNR only while every residual is rounded the same way in both.
     r = y[:, None, None] - x1 * h1[:, None, None] - x2 * h2[:, None, None]
     energy = (np.abs(r) ** 2).sum(axis=0)
 

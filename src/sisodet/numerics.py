@@ -23,7 +23,7 @@ def cholesky_factor(Q) -> np.ndarray:
 
     Raises:
         ValueError: If Q is not square, has a non-finite entry, or is not
-            Hermitian.
+            Hermitian to within 1e-10 of its largest entry magnitude.
         LinAlgError: If Q is not positive definite; the message names the
             first non-positive pivot.
     """
@@ -32,14 +32,16 @@ def cholesky_factor(Q) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {Q.shape}")
     n = Q.shape[0]
     rows = Q.tolist()
-    scale = 1.0
+    scale = 0.0
     for row in rows:
         for z in row:
             if not cmath.isfinite(z):
                 raise ValueError("matrix contains non-finite values")
             scale = max(scale, abs(z))
-    # |Q[i][j] - conj(Q[j][i])| is symmetric in (i, j): the lower triangle
-    # with the diagonal covers every entry.
+    # The tolerance is relative to the largest entry, so that a small
+    # matrix (a high-SNR noise covariance is about 1e-12) is held to the
+    # same standard as a unit one.  |Q[i][j] - conj(Q[j][i])| is symmetric
+    # in (i, j): the lower triangle with the diagonal covers every entry.
     tol = 1e-10 * scale
     for i, row in enumerate(rows):
         for j in range(i + 1):

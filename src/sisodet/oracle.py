@@ -22,6 +22,39 @@ from .priors import AprioriLLRs, check_llr_shape
 from .slicer import _logp_array
 
 
+# Bytes of complex residual one block of the pair-metric table may hold.
+# At least 128 KiB, so that M <= 64 with two antennas stays one block.  No
+# more: at 256 KiB, M = 256 with two antennas, glibc's allocator returned
+# the freed block temporaries to the OS and faulted them back in on every
+# block (about 650 minor page faults per tone in ``verify --M 256``).
+_BLOCK_BUDGET = 128 * 1024
+
+
+def _pair_metric_blocks(obs: WhitenedObservation, c: Constellation, llrs: AprioriLLRs):
+    """Yield ``(rows, table[rows])`` of the pair-metric table, one block of
+    consecutive layer-1 rows at a time.
+
+    A block's residual holds at most ``_BLOCK_BUDGET`` bytes, or one row
+    if a row alone is larger.  Every entry is the same floating expression
+    whatever the block height, so the blocks are bit-identical to slices
+    of the whole table.
+    """
+    check_llr_shape(llrs, c)
+    prior1 = c.bit_weights @ llrs.values[0]
+    prior2 = c.bit_weights @ llrs.values[1]
+    # Each product written symbol * signature (see detector.detect), both
+    # formed once for all blocks.
+    partial = obs.y[:, None, None] - c.symbols[None, :, None] * obs.h1[:, None, None]
+    s2h2 = c.symbols[None, None, :] * obs.h2[:, None, None]
+    height = max(1, _BLOCK_BUDGET // (16 * obs.y.size * c.M))
+    for start in range(0, c.M, height):
+        rows = slice(start, start + height)
+        # Antenna axis first, so the energy sums over whole contiguous
+        # (rows, M) slices instead of a short strided axis.
+        energy = (np.abs(partial[:, rows] - s2h2) ** 2).sum(axis=0)
+        yield rows, prior1[rows, None] + prior2[None, :] - energy
+
+
 def pair_metric_table(
     obs: WhitenedObservation, c: Constellation, llrs: AprioriLLRs
 ) -> np.ndarray:
@@ -29,18 +62,10 @@ def pair_metric_table(
 
     Entry [i, j] pairs layer-1 symbol i with layer-2 symbol j.
     """
-    check_llr_shape(llrs, c)
-    prior1 = c.bit_weights @ llrs.values[0]
-    prior2 = c.bit_weights @ llrs.values[1]
-    # Antenna axis first, so the energy sums over whole contiguous (M, M)
-    # slices instead of a short strided axis.
-    r = (
-        obs.y[:, None, None]
-        - c.symbols[None, :, None] * obs.h1[:, None, None]
-        - c.symbols[None, None, :] * obs.h2[:, None, None]
-    )
-    energy = (np.abs(r) ** 2).sum(axis=0)
-    return prior1[:, None] + prior2[None, :] - energy
+    table = np.empty((c.M, c.M))
+    for rows, block in _pair_metric_blocks(obs, c, llrs):
+        table[rows] = block
+    return table
 
 
 def brute_force_maxlog(
@@ -48,11 +73,17 @@ def brute_force_maxlog(
 ) -> np.ndarray:
     """Max-log bit LLRs by exhaustive search over all M**2 symbol pairs.
 
-    Returns the (2, q) LLR array.
+    The pair metrics are reduced block by block, to row maxima and a
+    running column maximum, so the (M, M) table is never held.  Returns
+    the (2, q) LLR array.
     """
-    table = pair_metric_table(obs, c, llrs)
-    best_given_1 = table.max(axis=1)
-    best_given_2 = table.max(axis=0)
+    best_given_1 = np.empty(c.M)
+    best_given_2 = None
+    for rows, block in _pair_metric_blocks(obs, c, llrs):
+        block.max(axis=1, out=best_given_1[rows])
+        column = block.max(axis=0)
+        # np.maximum propagates NaN as the max over the whole table does.
+        best_given_2 = column if best_given_2 is None else np.maximum(best_given_2, column)
     mask = c.bit_mask
     out = np.empty((2, c.q))
     for row, best in enumerate((best_given_1, best_given_2)):
@@ -84,7 +115,8 @@ def log_map(
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    table = temperature * pair_metric_table(obs, c, llrs)
+    table = pair_metric_table(obs, c, llrs)
+    table *= temperature
     mask = c.bit_mask
     out = np.empty((2, c.q))
     for n in range(c.q):

@@ -107,8 +107,8 @@ def genie_priors(
     ``mu = 0`` giving no information and large ``mu`` near-perfect
     feedback.
     """
-    if mu < 0:
-        raise ValueError(f"reliability mu must be nonnegative, got {mu}")
+    if not 0 <= mu < np.inf:
+        raise ValueError(f"reliability mu must be finite and nonnegative, got {mu}")
     bits = np.asarray(true_bits, dtype=float)
     if bits.ndim != 2 or bits.shape[0] != 2:
         raise ValueError(f"expected (2, q) true bits, got shape {bits.shape}")

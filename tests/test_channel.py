@@ -219,6 +219,12 @@ class TestMakeChannel:
         with pytest.raises(ValueError, match=rf"\(2, 2\).*{re.escape(str(shape))}"):
             make_channel(np.eye(2, dtype=complex), np.eye(2), precoder=np.ones(shape))
 
+    def test_small_non_hermitian_covariance_rejected(self):
+        """Far below unit scale the covariance is still checked for symmetry."""
+        C = 1e-12 * np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            make_channel(np.eye(2, dtype=complex), C)
+
     def test_covariance_shape_must_match_receive_antennas(self):
         """A 3x3 covariance with a two-antenna channel names both shapes."""
         with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 3\)"):

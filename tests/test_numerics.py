@@ -36,8 +36,18 @@ class TestCholeskyFactor:
             cholesky_factor(np.zeros((2, 2)))
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            cholesky_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        """The tolerance is relative to the largest entry, so a matrix far
+        below unit scale (a 120 dB covariance is about 1e-12) is held to
+        the same standard."""
+        for scale in (1.0, 1e-12, 1e-30):
+            with pytest.raises(ValueError, match="Hermitian"):
+                cholesky_factor(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-30])
+    def test_small_hermitian_factors(self, scale):
+        Q = scale * np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])
+        G = cholesky_factor(Q)
+        assert np.abs(G @ G.conj().T - Q).max() <= 8 * np.finfo(float).eps * scale
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):

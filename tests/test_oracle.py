@@ -1,17 +1,22 @@
 """Tests for the exhaustive max-log and log-sum-exp references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from sisodet import (
+    WhitenedObservation,
     brute_force_maxlog,
     build_constellation,
+    clamp,
     make_channel,
     transmit,
     uniform_priors,
     whiten,
 )
+from sisodet import oracle
 from sisodet.oracle import _logsumexp, log_map, pair_metric_table
 from helpers import log_map_reference, pair_metric_table_reference, random_tone
 
@@ -82,6 +87,77 @@ class TestPairMetricTable:
             got = pair_metric_table(obs, const, priors)
             bound = 2 * (n_rx - 1) * np.finfo(float).eps * np.abs(ref)
             assert np.all(np.abs(got - ref) <= bound)
+
+
+class TestRowBlocks:
+    """The oracle reads the pair table a block of layer-1 rows at a time."""
+
+    @staticmethod
+    def outputs(obs, const, llrs):
+        return [
+            brute_force_maxlog(obs, const, llrs).tobytes(),
+            pair_metric_table(obs, const, llrs).tobytes(),
+        ]
+
+    @staticmethod
+    def tones(M, n_rx):
+        """Seeded tones, then one with every prior at the clamp and one
+        with a NaN in the observation."""
+        rng = np.random.default_rng([68, M, n_rx])
+        const = build_constellation(M)
+        for t in range(6 if M < 256 else 2):
+            obs, llrs, _, _, _, _ = random_tone(
+                rng, const, n_rx=n_rx, snr_db=rng.uniform(-10.0, 120.0),
+                rho=0.5, mu=(0.0, 4.0, 200.0)[t % 3],
+            )
+            yield obs, llrs
+        yield obs, clamp(np.where(rng.integers(0, 2, (2, const.q)) > 0, np.inf, -np.inf))
+        y = obs.y.copy()
+        y[-1] = np.nan
+        yield WhitenedObservation(y, obs.h1, obs.h2), llrs
+
+    @pytest.mark.parametrize("n_rx", [1, 2, 8])
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_blocks_bit_identical(self, M, n_rx, monkeypatch):
+        """One row a block, three rows a block (a short last block) and the
+        default budget give the same bytes."""
+        const = build_constellation(M)
+        row_bytes = 16 * n_rx * M
+        for obs, llrs in self.tones(M, n_rx):
+            expected = self.outputs(obs, const, llrs)
+            for budget in (1, 3 * row_bytes):
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_BLOCK_BUDGET", budget)
+                    assert self.outputs(obs, const, llrs) == expected
+            if np.isnan(obs.y).any():
+                assert np.isnan(brute_force_maxlog(obs, const, llrs)).all()
+
+    def test_m64_two_antennas_is_one_block(self):
+        rng = np.random.default_rng(69)
+        const = build_constellation(64)
+        obs, llrs, _, _, _, _ = random_tone(rng, const, n_rx=2)
+        assert len(list(oracle._pair_metric_blocks(obs, const, llrs))) == 1
+
+    @pytest.mark.parametrize("n_rx", [2, 8])
+    @pytest.mark.parametrize(
+        "func, bound",
+        [(brute_force_maxlog, 1 << 20), (pair_metric_table, 2 << 20)],
+        ids=["brute_force_maxlog", "pair_metric_table"],
+    )
+    def test_traced_peak_bounded_at_m256(self, func, bound, n_rx):
+        """The whole (N_r, M, M) residual is 2 MiB at two antennas and
+        8 MiB at eight; a block holds at most the budget of it."""
+        rng = np.random.default_rng([70, n_rx])
+        const = build_constellation(256)
+        obs, llrs, _, _, _, _ = random_tone(rng, const, n_rx=n_rx, mu=4.0)
+        func(obs, const, llrs)  # fill the constellation's cached tables
+        tracemalloc.start()
+        try:
+            func(obs, const, llrs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestLogMap:

@@ -138,8 +138,9 @@ class TestGeniePriors:
         assert np.all(np.abs(out.values) <= 50.0)
 
     def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
-            genie_priors(np.random.default_rng(0), np.zeros((2, 2)), -1.0)
+        for mu in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+                genie_priors(np.random.default_rng(0), np.zeros((2, 2)), mu)
 
 
 class TestLogPriorShiftInvariance:

@@ -1,10 +1,11 @@
 """Square QAM alphabets built from two orthogonal Gray-labeled PAM axes.
 
 A square constellation of order ``M`` factors into two identical
-``L``-point amplitude alphabets with ``L = sqrt(M)``: one for the real
-part, one for the imaginary part.  The first half of a symbol's bit label
-addresses the real axis, the second half the imaginary axis.  Everything
-downstream (per-axis priors, slicing, detection) relies on this split.
+``L``-point amplitude alphabets with ``L = sqrt(M)``, so one ``PamAxis``
+serves both the real and the imaginary part.  The first half of a
+symbol's bit label addresses the real axis, the second half the imaginary
+axis.  Everything downstream (per-axis priors, slicing, detection) relies
+on this split.
 """
 
 from __future__ import annotations
@@ -87,13 +88,13 @@ class Constellation:
     ``symbols[k]`` carries the bit label ``labels[k]``, which is the
     ``q``-bit binary representation of ``k`` (MSB first).  Bits
     ``0 .. q/2-1`` select the real amplitude, bits ``q/2 .. q-1`` the
-    imaginary amplitude.  Average symbol energy is one.
+    imaginary amplitude.  Both parts take their amplitudes and labels from
+    one ``PamAxis``, ``real_axis``.  Average symbol energy is one.
     """
 
     M: int
     q: int
     real_axis: PamAxis
-    imag_axis: PamAxis
     symbols: np.ndarray
     labels: np.ndarray
 
@@ -177,9 +178,7 @@ def build_constellation(M: int) -> Constellation:
     labels = np.concatenate((axis.labels[a], axis.labels[b]), axis=1)
     symbols.flags.writeable = False
     labels.flags.writeable = False
-    return Constellation(
-        M=M, q=q, real_axis=axis, imag_axis=axis, symbols=symbols, labels=labels
-    )
+    return Constellation(M=M, q=q, real_axis=axis, symbols=symbols, labels=labels)
 
 
 def bits_to_symbol(c: Constellation, bits) -> complex:

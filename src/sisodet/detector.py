@@ -9,9 +9,10 @@ reused across the whole enumeration, so the total work is linear in the
 constellation size M (2M candidate metrics plus at most 2(M - sqrt(M))
 slicing thresholds) instead of the M**2 of a joint search, while the
 output bit LLRs match the exhaustive max-log search exactly.  Each stage
-is one stacked call per tone: the four tables are built by one
-``build_regions`` call and sliced by one ``slice_statistic`` call, and
-both layers' LLRs come from one ``llrs_from_metrics`` call.
+is one stacked call per tone: ``tone_regions`` builds the four tables
+(one ``PamAxis`` serves the real and the imaginary part) with one
+``axis_log_priors`` and one ``build_regions`` call, one ``slice_statistic``
+call slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import WhitenedObservation
-from .constellation import Constellation
+from .constellation import Constellation, PamAxis
 from .priors import AprioriLLRs, axis_log_priors, check_llr_shape
 from .slicer import build_regions, slice_statistic
 
@@ -68,6 +69,16 @@ def llrs_from_metrics(metrics, split_index) -> np.ndarray:
 _TABLE_ROWS = np.arange(4)[:, None]
 
 
+def tone_regions(obs: WhitenedObservation, pam: PamAxis, llrs: AprioriLLRs):
+    """A tone's ``(4, L)`` log-priors and its four stacked interval tables.
+
+    The tables come in the order of the LLR bits: layer 1 real, layer 1
+    imag, layer 2 real, layer 2 imag, each built with its own layer's gain.
+    """
+    logp = axis_log_priors(llrs, pam)
+    return logp, build_regions(pam, logp, (obs.gain1, obs.gain1, obs.gain2, obs.gain2))
+
+
 def detect(
     obs: WhitenedObservation, c: Constellation, llrs: AprioriLLRs
 ) -> DetectionResult:
@@ -79,10 +90,6 @@ def detect(
     sliced to the best partner symbol and the joint candidate metric
     evaluated.  Per-bit LLRs are max-differences over the enumerated
     labels.  The result matches the exhaustive pairwise max-log search.
-
-    Each stage is one stacked call for the whole tone: one
-    ``build_regions`` on the four tables, one ``slice_statistic`` on their
-    four rows of statistics and one ``llrs_from_metrics`` on both layers.
     """
     if not all(map(cmath.isfinite, obs.y.tolist() + obs.h1.tolist() + obs.h2.tolist())):
         raise ValueError("whitened observation contains non-finite values")
@@ -90,19 +97,8 @@ def detect(
         raise ValueError("a-priori LLRs contain non-finite values")
     check_llr_shape(llrs, c)
 
-    # Tables in the order layer 2 real, layer 2 imag, layer 1 real, layer 1
-    # imag: the first pair gives the partners of row 0 below, the second
-    # those of row 1.  Both axes of a square constellation are one PamAxis.
     pam = c.real_axis
-    logp = np.array(
-        [
-            axis_log_priors(llrs, 2, "real", pam),
-            axis_log_priors(llrs, 2, "imag", c.imag_axis),
-            axis_log_priors(llrs, 1, "real", pam),
-            axis_log_priors(llrs, 1, "imag", c.imag_axis),
-        ]
-    )
-    regions = build_regions(pam, logp, (obs.gain2, obs.gain2, obs.gain1, obs.gain1))
+    logp, regions = tone_regions(obs, pam, llrs)
 
     syms = c.symbols
     y, h1, h2 = obs.y, obs.h1, obs.h2
@@ -119,17 +115,17 @@ def detect(
     # row 0 enumerates layer 1 against its sliced layer-2 partner, row 1 the
     # reverse.  x1 holds each candidate's layer-1 symbol, x2 its layer-2.
     owner = slice_statistic(
-        regions, np.array([z_from_1.real, z_from_1.imag, z_from_2.real, z_from_2.imag])
+        regions, np.array([z_from_2.real, z_from_2.imag, z_from_1.real, z_from_1.imag])
     )
     partner = pam.points[owner]
     x1 = np.empty((2, c.M), dtype=complex)
     x2 = np.empty((2, c.M), dtype=complex)
     x1[0] = syms
     x2[1] = syms
-    x2.real[0] = partner[0]
-    x2.imag[0] = partner[1]
-    x1.real[1] = partner[2]
-    x1.imag[1] = partner[3]
+    x1.real[1] = partner[0]
+    x1.imag[1] = partner[1]
+    x2.real[0] = partner[2]
+    x2.imag[0] = partner[3]
     # Antenna axis first and each product written symbol * signature, as in
     # the oracle's block kernel oracle._pair_metric_blocks: numpy can round
     # h * x and x * h differently, and the LLRs match the oracle exactly at
@@ -137,11 +133,11 @@ def detect(
     r = y[:, None, None] - x1 * h1[:, None, None] - x2 * h2[:, None, None]
     energy = (np.abs(r) ** 2).sum(axis=0)
 
-    # Candidate metrics: enumerated prior, plus the partner's prior (its two
-    # axis log-priors), minus the residual energy.
+    # Candidate metrics: enumerated prior, plus the partner's prior (the other
+    # layer's two axis log-priors, hence the reversal), minus the residual energy.
     partner_logp = logp[_TABLE_ROWS, owner]
     enum_prior = np.array([c.bit_weights.dot(llrs.values[0]), c.bit_weights.dot(llrs.values[1])])
-    eta = enum_prior + (partner_logp[0::2] + partner_logp[1::2]) - energy
+    eta = enum_prior + (partner_logp[0::2] + partner_logp[1::2])[::-1] - energy
     boundary_count = regions.boundary_count
     return DetectionResult(
         llrs=llrs_from_metrics(eta, c.split_bit_index),

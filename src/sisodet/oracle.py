@@ -212,8 +212,9 @@ def argmax_slice_oracle(pam: PamAxis, logp, gain: float, z):
 def quadratic_norm(x, Q) -> float:
     """Hermitian quadratic form x^H Q x as a nonnegative real.
 
-    The imaginary residue of the form must be negligible (it is zero in
-    exact arithmetic for Hermitian Q); otherwise a ValueError is raised.
+    The imaginary residue (zero in exact arithmetic for Hermitian Q) must be
+    within 1e-10 of the form's own scale ``|x|^2 max|Q_ij|``, with no floor,
+    or a ValueError is raised: a high-SNR form is held to a unit one's standard.
     """
     x = np.asarray(x, dtype=complex).ravel()
     Q = np.asarray(Q, dtype=complex)
@@ -222,6 +223,7 @@ def quadratic_norm(x, Q) -> float:
             f"dimension mismatch: vector of size {x.size}, matrix {Q.shape}"
         )
     value = complex(np.vdot(x, Q @ x))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+    scale = np.vdot(x, x).real * np.abs(Q).max(initial=0.0)
+    if abs(value.imag) > 1e-10 * scale:
         raise ValueError(f"quadratic form has imaginary residue {value.imag:.3e}")
     return value.real

@@ -3,8 +3,10 @@
 The decoder-side information enters as one LLR per code bit,
 ``log P(c=1)/P(c=0)``.  For slicing, the LLRs of the bits addressing one
 PAM axis collapse into one unnormalized log-prior per amplitude:
-``logp[k] = sum_n b[n,k] * llr[n]``.  Only differences of these values
-ever matter, so the normalization constant is never computed.
+``logp[k] = sum_n b[n,k] * llr[n]``.  The two axes of a square
+constellation are one ``PamAxis``, so one call gives all four tables of a
+tone (two layers times two axes).  Only differences of these values ever
+matter, so the normalization constant is never computed.
 """
 
 from __future__ import annotations
@@ -64,32 +66,28 @@ def uniform_priors(q: int, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
     return clamp(np.zeros((2, q)), l_max)
 
 
-def axis_log_priors(
-    llrs: AprioriLLRs, layer: int, axis: str, pam: PamAxis
-) -> np.ndarray:
-    """Collapse one layer's axis bits into per-amplitude log-priors.
+def axis_log_priors(llrs: AprioriLLRs, pam: PamAxis) -> np.ndarray:
+    """Collapse a tone's LLRs into the log-priors of its four tables.
 
-    Returns the read-only unnormalized log-prior of each amplitude, in
-    the axis order.  Bits ``0 .. q/2-1`` of a layer address the real
-    axis, bits ``q/2 .. q-1`` the imaginary axis.
+    Returns a read-only ``(4, L)`` array: one row of unnormalized
+    amplitude log-priors per table, in the order the LLR bits come in,
+    layer 1 real, layer 1 imag, layer 2 real, layer 2 imag.  Bits
+    ``0 .. q/2-1`` of a layer address its real axis, bits ``q/2 .. q-1``
+    its imaginary axis, and one ``PamAxis`` serves both.  Each row is its
+    own ``bit_weights.dot``, which rounds as the one-axis product does.
 
     Raises:
-        ValueError: If ``layer`` or ``axis`` is not one of its two values,
-            or the LLR rows are not twice as wide as the axis labels.
+        ValueError: Unless there are two LLR rows, each twice as wide as the
+            axis labels.
     """
-    if layer not in (1, 2):
-        raise ValueError(f"layer must be 1 or 2, got {layer}")
-    if axis not in ("real", "imag"):
-        raise ValueError(f"axis must be 'real' or 'imag', got {axis!r}")
-    row = llrs.values[layer - 1]
+    rows, width = llrs.values.shape
     half_q = pam.labels.shape[1]
-    if row.size != 2 * half_q:
+    if (rows, width) != (2, 2 * half_q):
         raise ValueError(
-            f"LLR rows of width {row.size} do not fit a {pam.L}-level axis, "
-            f"which needs rows of width {2 * half_q} ({half_q} bits per axis)"
+            f"{rows} LLR rows of width {width} do not fit a {pam.L}-level axis, "
+            f"which needs 2 rows of width {2 * half_q} ({half_q} bits per axis)"
         )
-    bit_slice = row[:half_q] if axis == "real" else row[half_q:]
-    logp = pam.bit_weights.dot(bit_slice)
+    logp = np.array([pam.bit_weights.dot(bits) for bits in llrs.values.reshape(4, half_q)])
     logp.flags.writeable = False
     return logp
 

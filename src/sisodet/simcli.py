@@ -45,10 +45,9 @@ from .channel import (
 )
 from .complexity import DETECTOR_KINDS, predicted_counts
 from .constellation import VALID_ORDERS, Constellation, bits_to_symbol, build_constellation
-from .detector import detect
+from .detector import detect, tone_regions
 from .oracle import brute_force_maxlog
-from .priors import AprioriLLRs, axis_log_priors, clamp, genie_priors
-from .slicer import build_regions
+from .priors import AprioriLLRs, clamp, genie_priors
 
 VERIFY_TOLERANCE = 1e-6
 # Usable SNR range in dB.  The metric arithmetic overflows from about
@@ -365,13 +364,12 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
 
     C = noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx)
     obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
-    pam = const.real_axis  # both axes of a square constellation are one PamAxis
-    tables = [(layer, axis) for layer in (1, 2) for axis in ("real", "imag")]
-    logp = [axis_log_priors(llrs, layer, axis, pam) for layer, axis in tables]
-    regions = build_regions(pam, logp, [obs.gain1, obs.gain1, obs.gain2, obs.gain2])
+    pam = const.real_axis
+    _, regions = tone_regions(obs, pam, llrs)
 
     lines = [REGIONS_CSV_HEADER]
-    for (layer, axis), lo, up, gone in zip(tables, regions.lower, regions.upper, regions.empty):
+    for t, (lo, up, gone) in enumerate(zip(regions.lower, regions.upper, regions.empty)):
+        layer, axis = t // 2 + 1, ("real", "imag")[t % 2]
         for k, point in enumerate(pam.points):
             bounds = f"{_fmt(lo[k])},{_fmt(up[k])}"
             empty = "true" if gone[k] else "false"

@@ -49,11 +49,11 @@ def criterion(capsys, number: int, name: str):
 
 
 def _any_axis_pruned(const, llrs, obs) -> bool:
-    for layer, gain in ((1, obs.gain1), (2, obs.gain2)):
-        for axis_name, pam in (("real", const.real_axis), ("imag", const.imag_axis)):
-            logp = axis_log_priors(llrs, layer, axis_name, pam)
-            if build_regions(pam, logp, gain).empty.any():
-                return True
+    pam = const.real_axis
+    gains = (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
+    for logp, gain in zip(axis_log_priors(llrs, pam), gains):
+        if build_regions(pam, logp, gain).empty.any():
+            return True
     return False
 
 

@@ -91,10 +91,10 @@ class TestConstellation:
                 np.all(c.real_axis.labels == c.labels[k, :half], axis=1)
             )[0]
             b = np.flatnonzero(
-                np.all(c.imag_axis.labels == c.labels[k, half:], axis=1)
+                np.all(c.real_axis.labels == c.labels[k, half:], axis=1)
             )[0]
             np.testing.assert_allclose(re_part, c.real_axis.points[a], atol=0)
-            np.testing.assert_allclose(im_part, c.imag_axis.points[b], atol=0)
+            np.testing.assert_allclose(im_part, c.real_axis.points[b], atol=0)
 
     @pytest.mark.parametrize("M", ALL_ORDERS)
     def test_matches_per_symbol_gray_decode(self, M):
@@ -115,9 +115,9 @@ class TestConstellation:
         for k in range(M):
             a = gray_decode(k >> half)
             b = gray_decode(k & (L - 1))
-            assert c.symbols[k] == c.real_axis.points[a] + 1j * c.imag_axis.points[b]
+            assert c.symbols[k] == c.real_axis.points[a] + 1j * c.real_axis.points[b]
             assert c.labels[k].tolist() == (
-                c.real_axis.labels[a].tolist() + c.imag_axis.labels[b].tolist()
+                c.real_axis.labels[a].tolist() + c.real_axis.labels[b].tolist()
             )
 
     def test_gray_property_nearest_neighbors(self):
@@ -127,7 +127,7 @@ class TestConstellation:
             for m in range(k + 1, c.M):
                 gap = c.symbols[k] - c.symbols[m]
                 if abs(gap - c.real_axis.spacing) < 1e-12 or abs(
-                    gap - 1j * c.imag_axis.spacing
+                    gap - 1j * c.real_axis.spacing
                 ) < 1e-12:
                     assert np.sum(c.labels[k] != c.labels[m]) == 1
 

@@ -110,16 +110,25 @@ class TestQuadraticNorm:
         )
 
     def test_matches_whitened_norm(self):
-        """x^H Q x equals the plain norm of G^H x."""
+        """x^H Q x equals the plain norm of G^H x, also for forms scaled to
+        1e-12 and 1e-30, as small as a high-SNR noise covariance."""
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            Q = random_hermitian_pd(rng, 3)
-            x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            G = cholesky_factor(Q)
-            direct = quadratic_norm(x, Q)
-            whitened = np.sum(np.abs(G.conj().T @ x) ** 2)
-            np.testing.assert_allclose(direct, whitened, rtol=1e-10)
+        for scale in (1.0, 1e-12, 1e-30):
+            for _ in range(50):
+                Q = scale * random_hermitian_pd(rng, 3)
+                x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                G = cholesky_factor(Q)
+                direct = quadratic_norm(x, Q)
+                whitened = np.sum(np.abs(G.conj().T @ x) ** 2)
+                np.testing.assert_allclose(direct, whitened, rtol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             quadratic_norm(np.ones(2), np.eye(3))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-30])
+    def test_non_hermitian_rejected(self, scale):
+        """An imaginary part half the real part is rejected at every scale."""
+        Q = scale * np.array([[1, 0.5j], [0.5j, 1]])
+        with pytest.raises(ValueError, match="imaginary residue"):
+            quadratic_norm([1, 1], Q)

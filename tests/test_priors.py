@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from sisodet import (
+    AprioriLLRs,
     axis_log_priors,
     build_constellation,
     build_regions,
@@ -54,59 +55,81 @@ class TestClamp:
 class TestAxisLogPriors:
     def test_zero_llrs_zero_logp(self):
         c = build_constellation(16)
-        out = axis_log_priors(uniform_priors(4), 1, "real", c.real_axis)
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = axis_log_priors(uniform_priors(4), c.real_axis)
+        np.testing.assert_array_equal(out, np.zeros((4, 4)))
 
     def test_single_bit_axis(self):
         """With one bit per axis, logp is (0, llr) over labels (0), (1)."""
         c = build_constellation(4)
         llrs = clamp([[3.0, 0.0], [0.0, 0.0]])
-        out = axis_log_priors(llrs, 1, "real", c.real_axis)
-        np.testing.assert_array_equal(out, [0.0, 3.0])
+        out = axis_log_priors(llrs, c.real_axis)
+        np.testing.assert_array_equal(out[0], [0.0, 3.0])
 
     def test_imag_axis_uses_second_half(self):
         c = build_constellation(16)
         llrs = clamp([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
-        out = axis_log_priors(llrs, 1, "imag", c.imag_axis)
-        expected = c.imag_axis.labels.astype(float) @ np.array([3.0, 4.0])
+        out = axis_log_priors(llrs, c.real_axis)[1]
+        expected = c.real_axis.labels.astype(float) @ np.array([3.0, 4.0])
         np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_rows_bit_identical_to_axis_dot(self, M):
+        """Row t is bit for bit ``bit_weights.dot`` of LLR slice t, in the
+        order layer 1 real, layer 1 imag, layer 2 real, layer 2 imag."""
+        c = build_constellation(M)
+        pam = c.real_axis
+        half = c.q // 2
+        rng = np.random.default_rng([13, M])
+        for i in range(200):
+            # every third draw puts most LLRs beyond the clamp, at +-l_max
+            spread = 150.0 if i % 3 == 0 else 6.0
+            llrs = clamp(rng.normal(0.0, spread, (2, c.q)))
+            out = axis_log_priors(llrs, pam)
+            assert out.shape == (4, pam.L) and not out.flags.writeable
+            slices = [
+                llrs.values[0, :half],
+                llrs.values[0, half:],
+                llrs.values[1, :half],
+                llrs.values[1, half:],
+            ]
+            for t, bits in enumerate(slices):
+                assert out[t].tobytes() == pam.bit_weights.dot(bits).tobytes(), (i, t)
 
     @pytest.mark.parametrize("axis", ["real", "imag"])
     @pytest.mark.parametrize("width", [2, 5, 6, 8])
     def test_llr_width_mismatch_named(self, width, axis):
         """Rows of another width fail naming both widths, not with a numpy
-        shape error; width 5 used to pass silently on the real axis."""
-        pam = getattr(build_constellation(16), f"{axis}_axis")
+        shape error; width 5 used to pass silently on the real axis.  One
+        call reads both parts, so each ``axis`` case makes the same call."""
+        pam = build_constellation(16).real_axis
         with pytest.raises(ValueError, match=rf"width {width} .* width 4 "):
-            axis_log_priors(clamp(np.zeros((2, width))), 1, axis, pam)
+            axis_log_priors(clamp(np.zeros((2, width))), pam)
+
+    def test_llr_row_count_named(self):
+        """A hand-built LLR array of three rows fails naming the count."""
+        pam = build_constellation(16).real_axis
+        with pytest.raises(ValueError, match="3 LLR rows .* needs 2 rows"):
+            axis_log_priors(AprioriLLRs(np.zeros((3, 4))), pam)
 
     @pytest.mark.parametrize("M", [4, 16, 64])
     def test_matches_sigmoid_product_marginals(self, M):
         """exp-normalized logp equals the product of per-bit probabilities."""
         c = build_constellation(M)
+        pam = c.real_axis
         rng = np.random.default_rng(21)
         for _ in range(20):
             llrs = clamp(rng.uniform(-6, 6, size=(2, c.q)))
-            for layer in (1, 2):
-                for axis_name, pam in (("real", c.real_axis), ("imag", c.imag_axis)):
-                    out = axis_log_priors(llrs, layer, axis_name, pam)
-                    probs = np.exp(out)
-                    probs /= probs.sum()
-                    half = c.q // 2
-                    row = llrs.values[layer - 1]
-                    bit_llrs = row[:half] if axis_name == "real" else row[half:]
-                    p_one = 1.0 / (1.0 + np.exp(-bit_llrs))
-                    expected = np.prod(
-                        np.where(pam.labels.astype(bool), p_one, 1 - p_one), axis=1
-                    )
-                    np.testing.assert_allclose(probs, expected, atol=1e-12)
-
-    def test_bad_layer_or_axis(self):
-        c = build_constellation(4)
-        with pytest.raises(ValueError):
-            axis_log_priors(uniform_priors(2), 3, "real", c.real_axis)
-        with pytest.raises(ValueError):
-            axis_log_priors(uniform_priors(2), 1, "diag", c.real_axis)
+            for t, out in enumerate(axis_log_priors(llrs, pam)):
+                probs = np.exp(out)
+                probs /= probs.sum()
+                half = c.q // 2
+                row = llrs.values[t // 2]
+                bit_llrs = row[:half] if t % 2 == 0 else row[half:]
+                p_one = 1.0 / (1.0 + np.exp(-bit_llrs))
+                expected = np.prod(
+                    np.where(pam.labels.astype(bool), p_one, 1 - p_one), axis=1
+                )
+                np.testing.assert_allclose(probs, expected, atol=1e-12)
 
 
 class TestGeniePriors:

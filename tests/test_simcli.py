@@ -157,9 +157,10 @@ class TestRunRegions:
         obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
         llrs = clamp(np.reshape(np.asarray(llr, float), (2, const.q)))
         expected = []
+        logp = iter(axis_log_priors(llrs, pam))  # rows in the loop order below
         for layer, gain in ((1, obs.gain1), (2, obs.gain2)):
             for axis in ("real", "imag"):
-                walk = build_regions_walk(pam, axis_log_priors(llrs, layer, axis, pam), gain)
+                walk = build_regions_walk(pam, next(logp), gain)
                 for k, point in enumerate(pam.points):
                     values = (point, walk.lower[k], walk.upper[k])
                     bounds = ",".join(format(float(v), ".17g") for v in values)

@@ -429,7 +429,7 @@ class TestWalkReference:
             # feedback far beyond the clamp: many LLRs sit at +-l_max
             llrs = clamp(rng.normal(0, 150, (2, const.q)))
             layer = int(rng.integers(1, 3))
-            return axis_log_priors(llrs, layer, "real", pam), 10.0**log_gain
+            return axis_log_priors(llrs, pam)[2 * layer - 2], 10.0**log_gain
         return rng.uniform(-50, 50, pam.L), 10.0**log_gain
 
     @pytest.mark.parametrize("M", [4, 16, 64, 256])

@@ -33,7 +33,7 @@ class ComplexityEstimate:
 
 def predicted_counts(kind: str, M: int, n_rx: int) -> ComplexityEstimate:
     """Evaluate the closed-form per-tone counts for one detector kind."""
-    require_valid_order(M)
+    M = require_valid_order(M)
     if kind not in DETECTOR_KINDS:
         raise ValueError(f"detector kind must be one of {DETECTOR_KINDS}, got {kind!r}")
     if n_rx < 2:

@@ -10,6 +10,7 @@ on this split.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -126,12 +127,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def require_valid_order(M: int) -> None:
-    """Raise ValueError unless M is a supported power of four."""
-    if M not in VALID_ORDERS:
+def require_valid_order(M) -> int:
+    """M as an int; ValueError unless it is an integer of VALID_ORDERS."""
+    try:
+        order = operator.index(M)
+    except TypeError:
+        order = None
+    if order not in VALID_ORDERS:
         raise ValueError(
             f"constellation order must be one of {VALID_ORDERS}, got {M!r}"
         )
+    return order
 
 
 def _build_axis(M: int) -> PamAxis:
@@ -161,7 +167,7 @@ def build_constellation(M: int) -> Constellation:
     Raises:
         ValueError: If M is not a supported power of four.
     """
-    require_valid_order(M)
+    M = require_valid_order(M)
     q = M.bit_length() - 1
     half_q = q // 2
     axis = _build_axis(M)

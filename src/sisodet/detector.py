@@ -18,14 +18,13 @@ call slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
-from .priors import AprioriLLRs, axis_log_priors, check_llr_shape
+from .priors import AprioriLLRs, axis_log_priors
 from .slicer import build_regions, slice_statistic
 
 
@@ -93,9 +92,6 @@ def detect(
     """
     if not all(map(cmath.isfinite, obs.y.tolist() + obs.h1.tolist() + obs.h2.tolist())):
         raise ValueError("whitened observation contains non-finite values")
-    if not all(map(math.isfinite, llrs.values.ravel().tolist())):
-        raise ValueError("a-priori LLRs contain non-finite values")
-    check_llr_shape(llrs, c)
 
     pam = c.real_axis
     logp, regions = tone_regions(obs, pam, llrs)

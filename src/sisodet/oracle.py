@@ -39,7 +39,7 @@ def _pair_metric_blocks(obs: WhitenedObservation, c: Constellation, llrs: Aprior
     whatever the block height, so the blocks are bit-identical to slices
     of the whole table.
     """
-    check_llr_shape(llrs, c)
+    check_llr_shape(llrs, c.real_axis)
     prior1 = c.bit_weights @ llrs.values[0]
     prior2 = c.bit_weights @ llrs.values[1]
     # Each product written symbol * signature (see detector.detect), both

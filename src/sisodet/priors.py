@@ -1,69 +1,69 @@
 """A-priori bit LLRs and their per-axis log-prior form.
 
 The decoder-side information enters as one LLR per code bit,
-``log P(c=1)/P(c=0)``.  For slicing, the LLRs of the bits addressing one
-PAM axis collapse into one unnormalized log-prior per amplitude:
-``logp[k] = sum_n b[n,k] * llr[n]``.  The two axes of a square
-constellation are one ``PamAxis``, so one call gives all four tables of a
-tone (two layers times two axes).  Only differences of these values ever
-matter, so the normalization constant is never computed.
+``log P(c=1)/P(c=0)``, held by ``AprioriLLRs`` within ``+-L_MAX``.  For
+slicing, the LLRs of the bits addressing one PAM axis collapse into one
+unnormalized log-prior per amplitude: ``logp[k] = sum_n b[n,k] * llr[n]``.
+The two axes of a square constellation are one ``PamAxis``, so one call
+gives all four tables of a tone (two layers times two axes).  Only
+differences of these values ever matter, so the normalization constant
+is never computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, PamAxis
+from .constellation import PamAxis
 
-L_MAX_DEFAULT = 50.0
+# Bound on every LLR magnitude: it keeps the slicing thresholds finite.
+L_MAX = 50.0
 
 
 @dataclass(frozen=True)
 class AprioriLLRs:
-    """Clamped a-priori LLRs, one row per layer, one column per bit."""
+    """A-priori LLRs, one row per layer, one column per bit, stored as a
+    read-only float copy.
+
+    Raises:
+        ValueError: Unless ``values`` is a (2, q) array within +-L_MAX.
+    """
 
     values: np.ndarray
 
-
-def clamp(values, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
-    """Build AprioriLLRs, clamping magnitudes to l_max.
-
-    Infinities clamp to +-l_max; NaN is rejected rather than propagated.
-
-    Raises:
-        ValueError: If the array is not (2, q), holds NaN, or ``l_max`` is
-            not a finite positive number (a negative bound would flip
-            every sign, a NaN bound would make every LLR NaN).
-    """
-    if not 0.0 < l_max < math.inf:
-        raise ValueError(f"l_max must be finite and positive, got {l_max!r}")
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != 2:
-        raise ValueError(f"expected a (2, q) LLR array, got shape {arr.shape}")
-    np.minimum(arr, l_max, out=arr)
-    np.maximum(arr, -l_max, out=arr)
-    # Every clamped value is finite unless it was NaN, which both bounds keep.
-    if not all(map(math.isfinite, arr.ravel().tolist())):
-        raise ValueError("a-priori LLRs contain NaN")
-    arr.flags.writeable = False
-    return AprioriLLRs(values=arr)
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != 2:
+            raise ValueError(f"expected a (2, q) LLR array, got shape {arr.shape}")
+        bad = [v for v in arr.ravel().tolist() if not -L_MAX <= v <= L_MAX]
+        if bad:
+            raise ValueError(
+                f"a-priori LLRs must be within +-{L_MAX:g}, not NaN, got {bad[0]!r}"
+            )
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
 
-def check_llr_shape(llrs: AprioriLLRs, c: Constellation) -> None:
-    """Raise ValueError unless the LLRs carry one (2, q) row per layer for c."""
-    if llrs.values.shape != (2, c.q):
+def clamp(values) -> AprioriLLRs:
+    """AprioriLLRs with every magnitude clipped to L_MAX; NaN is rejected."""
+    return AprioriLLRs(np.maximum(np.minimum(values, L_MAX), -L_MAX))
+
+
+def check_llr_shape(llrs: AprioriLLRs, pam: PamAxis) -> None:
+    """Raise ValueError unless the LLRs fit the M-QAM whose axis is pam."""
+    q = 2 * pam.labels.shape[1]
+    if llrs.values.shape[1] != q:
         raise ValueError(
-            f"expected a-priori LLRs of shape (2, {c.q}) for {c.M}-QAM, "
+            f"expected a-priori LLRs of shape (2, {q}) for {pam.L * pam.L}-QAM, "
             f"got {llrs.values.shape}"
         )
 
 
-def uniform_priors(q: int, l_max: float = L_MAX_DEFAULT) -> AprioriLLRs:
+def uniform_priors(q: int) -> AprioriLLRs:
     """All-zero LLRs: no decoder information."""
-    return clamp(np.zeros((2, q)), l_max)
+    return AprioriLLRs(np.zeros((2, q)))
 
 
 def axis_log_priors(llrs: AprioriLLRs, pam: PamAxis) -> np.ndarray:
@@ -77,16 +77,11 @@ def axis_log_priors(llrs: AprioriLLRs, pam: PamAxis) -> np.ndarray:
     own ``bit_weights.dot``, which rounds as the one-axis product does.
 
     Raises:
-        ValueError: Unless there are two LLR rows, each twice as wide as the
-            axis labels.
+        ValueError: From ``check_llr_shape``, unless each LLR row is twice
+            as wide as the axis labels.
     """
-    rows, width = llrs.values.shape
+    check_llr_shape(llrs, pam)
     half_q = pam.labels.shape[1]
-    if (rows, width) != (2, 2 * half_q):
-        raise ValueError(
-            f"{rows} LLR rows of width {width} do not fit a {pam.L}-level axis, "
-            f"which needs 2 rows of width {2 * half_q} ({half_q} bits per axis)"
-        )
     logp = np.array([pam.bit_weights.dot(bits) for bits in llrs.values.reshape(4, half_q)])
     logp.flags.writeable = False
     return logp
@@ -96,7 +91,6 @@ def genie_priors(
     rng: np.random.Generator,
     true_bits,
     mu: float,
-    l_max: float = L_MAX_DEFAULT,
 ) -> AprioriLLRs:
     """Synthetic decoder feedback around the true bits.
 
@@ -111,4 +105,4 @@ def genie_priors(
     if bits.ndim != 2 or bits.shape[0] != 2:
         raise ValueError(f"expected (2, q) true bits, got shape {bits.shape}")
     noise = rng.standard_normal(bits.shape) * np.sqrt(2.0 * mu)
-    return clamp(mu * (2.0 * bits - 1.0) + noise, l_max)
+    return clamp(mu * (2.0 * bits - 1.0) + noise)

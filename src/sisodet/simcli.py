@@ -72,7 +72,6 @@ class SimConfig:
     tones: int = 1000
     seed: int = 1
     rho: float = 0.0
-    out: str | None = None
     verify_first: bool = True
 
     def validate(self) -> None:
@@ -229,14 +228,15 @@ def _sweep(
     by ``detect`` and by the exhaustive ``brute_force_maxlog``, and gated:
     it fails when an LLR is more than ``VERIFY_TOLERANCE`` from the
     reference or NaN, or when the counters break the model (2M candidate
-    metrics, total at most 4M - 2 sqrt(M)).  Each point's record counts
-    the detector's and the reference's bit errors, the metric counts and
-    the largest LLR discrepancy over all its tones, NaN if any was.  With
-    ``stop_at_failure`` the sweep returns at the first failing tone,
-    before counting it, with the records of the points already finished;
-    otherwise it runs to the end and returns the first failure it met.
+    metrics, total at most the ``predicted_counts`` metrics, 4M - 2 sqrt(M)).
+    Each point's record counts the detector's and the reference's bit
+    errors, the metric counts and the largest LLR discrepancy over all its
+    tones, NaN if any was.  With ``stop_at_failure`` the sweep returns at
+    the first failing tone, before counting it, with the records of the
+    points already finished; otherwise it runs to the end and returns the
+    first failure it met.
     """
-    ceiling = 4 * cfg.M - 2 * const.real_axis.L
+    ceiling = predicted_counts("proposed", cfg.M, cfg.n_rx).metrics
     bits_per_tone = 2 * const.q
     records: list[SimRecord] = []
     failure: ToneFailure | None = None
@@ -481,7 +481,6 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
         snr_db_list=_parse_list(args.snr_db, "--snr-db"),
         seed=args.seed,
         rho=args.rho,
-        out=args.out,
     )
     if hasattr(args, "tones"):  # the sweep flags, declared together
         cfg.tones = args.tones
@@ -611,11 +610,11 @@ def main(argv=None) -> int:
             return 0
         cfg = _config_from_args(args)
         if args.command in ("verify", "simulate"):
-            _check_out(cfg.out)
+            _check_out(args.out)
         if args.command == "verify":
             status, report = run_verify(cfg)
-            _write_out(cfg.out, report)
-            if cfg.out is not None:
+            _write_out(args.out, report)
+            if args.out is not None:
                 sys.stdout.write(report.splitlines()[-1] + "\n")
             return status
         if args.command == "simulate":
@@ -623,9 +622,9 @@ def main(argv=None) -> int:
             if status != 0:
                 sys.stderr.write(text)
                 return status
-            _write_out(cfg.out, text)
+            _write_out(args.out, text)
             return 0
-        _write_out(cfg.out, run_regions(cfg, _parse_list(args.llr, "--llr")))
+        _write_out(args.out, run_regions(cfg, _parse_list(args.llr, "--llr")))
         return 0
     except UsageError as err:
         sys.stderr.write(f"error: {err}\n")

@@ -56,6 +56,17 @@ class TestPredictedCounts:
         with pytest.raises(ValueError):
             predicted_counts("proposed", 8, 2)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_order(self, integer):
+        est = predicted_counts("proposed", integer(16), 2)
+        assert est == predicted_counts("proposed", 16, 2)
+        assert type(est.M) is int
+
+    @pytest.mark.parametrize("bad", [16.0, "16"])
+    def test_non_integral_order_named(self, bad):
+        with pytest.raises(ValueError, match=rf"constellation order .* got {bad!r}$"):
+            predicted_counts("proposed", bad, 2)
+
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             predicted_counts("exact", 16, 2)

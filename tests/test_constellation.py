@@ -136,6 +136,20 @@ class TestConstellation:
         with pytest.raises(ValueError):
             build_constellation(bad)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.int32])
+    def test_numpy_integer_order(self, integer):
+        """A numpy integer builds the same alphabet as the Python int."""
+        c = build_constellation(integer(16))
+        ref = build_constellation(16)
+        assert type(c.M) is int and c.M == 16 and c.q == 4
+        assert c.symbols.tobytes() == ref.symbols.tobytes()
+        assert c.labels.tobytes() == ref.labels.tobytes()
+
+    @pytest.mark.parametrize("bad", [16.0, "16"])
+    def test_non_integral_order_named(self, bad):
+        with pytest.raises(ValueError, match=rf"constellation order .* got {bad!r}$"):
+            build_constellation(bad)
+
 
 class TestBitMapping:
     def test_qpsk_all_zero_bits_fixed_corner(self):

@@ -1,4 +1,5 @@
-"""Tests for LLR clamping, per-axis log-priors, and the genie model."""
+"""Tests for the a-priori LLR contract, clamping, per-axis log-priors, and
+the genie model."""
 
 import numpy as np
 import pytest
@@ -23,11 +24,11 @@ finite_llr = st.floats(min_value=-49.0, max_value=49.0)
 class TestClamp:
     def test_in_range_unchanged(self):
         vals = np.array([[1.0, -2.0], [0.5, 3.0]])
-        np.testing.assert_array_equal(clamp(vals, 50.0).values, vals)
+        np.testing.assert_array_equal(clamp(vals).values, vals)
 
     def test_infinity_clamps_to_bound(self):
         vals = np.array([[np.inf, -np.inf], [0.0, 1.0]])
-        out = clamp(vals, 50.0).values
+        out = clamp(vals).values
         assert out[0, 0] == 50.0
         assert out[0, 1] == -50.0
 
@@ -39,17 +40,60 @@ class TestClamp:
         with pytest.raises(ValueError):
             clamp(np.zeros((3, 4)))
 
-    @pytest.mark.parametrize("l_max", [-1.0, 0.0, np.nan, np.inf, -np.inf])
-    def test_bad_bound_rejected(self, l_max):
-        """A negative bound would flip every sign, a NaN one give NaN LLRs."""
-        with pytest.raises(ValueError, match="l_max"):
-            clamp(np.ones((2, 4)), l_max)
-
     def test_nan_rejected_at_clamped_entries(self):
         """NaN is caught wherever it sits, including beside +-inf entries."""
         vals = np.array([[np.inf, 1.0], [-np.inf, np.nan]])
         with pytest.raises(ValueError, match="NaN"):
             clamp(vals)
+
+
+class TestAprioriLLRs:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "not NaN, got nan"),
+            (np.inf, r"within \+-50, not NaN, got inf"),
+            (-np.inf, r"within \+-50, not NaN, got -inf"),
+            (np.nextafter(50.0, np.inf), r"within \+-50, not NaN, got 50\.00000000000001"),
+        ],
+    )
+    def test_bad_value_named(self, bad, message):
+        """NaN and anything beyond +-L_MAX fail on construction, wherever
+        the value sits."""
+        vals = np.zeros((2, 4))
+        vals[1, 2] = bad
+        with pytest.raises(ValueError, match=message):
+            AprioriLLRs(vals)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 2)])
+    def test_bad_shape_named(self, shape):
+        with pytest.raises(ValueError, match=r"expected a \(2, q\) LLR array"):
+            AprioriLLRs(np.zeros(shape))
+
+    def test_list_stored_read_only_float(self):
+        llrs = AprioriLLRs([[1, -2], [0, 3]])
+        assert isinstance(llrs.values, np.ndarray)
+        assert llrs.values.dtype == float and not llrs.values.flags.writeable
+        np.testing.assert_array_equal(llrs.values, [[1.0, -2.0], [0.0, 3.0]])
+
+    def test_caller_array_stays_writable(self):
+        """The stored copy is read-only; the caller's own array is not
+        touched, and writing to it later does not reach the LLRs."""
+        vals = np.array([[1.0, -2.0], [0.5, 3.0]])
+        llrs = AprioriLLRs(vals)
+        assert vals.flags.writeable
+        vals[0, 0] = 7.0
+        assert llrs.values[0, 0] == 1.0
+
+    def test_clamp_matches_clip(self):
+        """clamp is np.clip to +-L_MAX byte for byte, infinities included."""
+        rng = np.random.default_rng(15)
+        for i in range(200):
+            raw = rng.normal(0.0, 80.0, (2, 2 * (1 + i % 4)))
+            raw[rng.random(raw.shape) < 0.1] = np.inf
+            raw[rng.random(raw.shape) < 0.1] = -np.inf
+            expected = np.clip(raw, -50.0, 50.0)
+            assert clamp(raw).values.tobytes() == expected.tobytes(), i
 
 
 class TestAxisLogPriors:
@@ -102,14 +146,14 @@ class TestAxisLogPriors:
         shape error; width 5 used to pass silently on the real axis.  One
         call reads both parts, so each ``axis`` case makes the same call."""
         pam = build_constellation(16).real_axis
-        with pytest.raises(ValueError, match=rf"width {width} .* width 4 "):
+        with pytest.raises(ValueError, match=rf"shape \(2, 4\) for 16-QAM, got \(2, {width}\)"):
             axis_log_priors(clamp(np.zeros((2, width))), pam)
 
     def test_llr_row_count_named(self):
-        """A hand-built LLR array of three rows fails naming the count."""
-        pam = build_constellation(16).real_axis
-        with pytest.raises(ValueError, match="3 LLR rows .* needs 2 rows"):
-            axis_log_priors(AprioriLLRs(np.zeros((3, 4))), pam)
+        """A hand-built LLR array of three rows fails on construction,
+        naming its shape, before any prior is formed."""
+        with pytest.raises(ValueError, match=r"\(2, q\) LLR array, got shape \(3, 4\)"):
+            AprioriLLRs(np.zeros((3, 4)))
 
     @pytest.mark.parametrize("M", [4, 16, 64])
     def test_matches_sigmoid_product_marginals(self, M):

@@ -11,8 +11,9 @@ import sys
 
 import numpy as np
 
-from sisodet import build_constellation, build_regions, slice_statistic
+from sisodet import build_constellation
 from sisodet.oracle import argmax_slice_oracle
+from sisodet.slicer import build_regions, slice_statistic, upper_bounds
 
 const = build_constellation(16)
 pam = const.real_axis
@@ -27,12 +28,10 @@ print("  labels :", [tuple(int(b) for b in row) for row in pam.labels])
 # 1. No feedback: thresholds sit exactly between neighboring amplitudes.
 # ---------------------------------------------------------------------------
 regions = build_regions(pam, np.zeros(4), gain)
+upper = upper_bounds(pam, np.zeros(4), gain)
 print("\nno feedback -> midpoint thresholds")
 for k in range(4):
-    print(
-        f"  amplitude {pam.points[k]:+.4f}: "
-        f"({regions.lower[k]:+.4f}, {regions.upper[k]:+.4f})"
-    )
+    print(f"  amplitude {pam.points[k]:+.4f}: ({regions.lower[k]:+.4f}, {upper[k]:+.4f})")
 
 # ---------------------------------------------------------------------------
 # 2. Mild feedback: log-prior mass on an amplitude widens its interval and
@@ -40,12 +39,10 @@ for k in range(4):
 # ---------------------------------------------------------------------------
 logp = np.array([0.0, 0.5, 0.0, 0.0])
 regions = build_regions(pam, logp, gain)
+upper = upper_bounds(pam, logp, gain)
 print("\nlog-priors", logp, "-> thresholds shift away from the favored amplitude")
 for k in range(4):
-    print(
-        f"  amplitude {pam.points[k]:+.4f}: "
-        f"({regions.lower[k]:+.4f}, {regions.upper[k]:+.4f})"
-    )
+    print(f"  amplitude {pam.points[k]:+.4f}: ({regions.lower[k]:+.4f}, {upper[k]:+.4f})")
 
 # ---------------------------------------------------------------------------
 # 3. Strong one-sided feedback: the middle amplitudes lose their entire

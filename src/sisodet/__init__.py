@@ -6,8 +6,10 @@ in the constellation size while its bit LLRs match an exhaustive
 pairwise max-log search exactly.  A closed-form operation-count model
 and a Monte-Carlo CLI harness round out the package.  The exported names
 are what a receiver needs, plus the exhaustive max-log search the CLI
-gates on; every other reference the tests compare against lives in
-``sisodet.oracle``.
+gates on.  The stage functions ``detect`` is built from are imported from
+their own modules (``sisodet.slicer``, ``sisodet.priors``,
+``sisodet.detector``, ``sisodet.numerics``), and every other reference
+the tests compare against lives in ``sisodet.oracle``.
 """
 
 from .channel import (
@@ -28,17 +30,9 @@ from .constellation import (
     build_constellation,
     symbol_to_bits,
 )
-from .detector import DetectionResult, detect, llrs_from_metrics
-from .numerics import cholesky_factor
+from .detector import DetectionResult, detect
 from .oracle import brute_force_maxlog
-from .priors import (
-    AprioriLLRs,
-    axis_log_priors,
-    clamp,
-    genie_priors,
-    uniform_priors,
-)
-from .slicer import DecisionRegions, build_regions, slice_statistic
+from .priors import AprioriLLRs, clamp, genie_priors, uniform_priors
 
 __version__ = "0.1.0"
 
@@ -47,26 +41,20 @@ __all__ = [
     "ChannelRealization",
     "ComplexityEstimate",
     "Constellation",
-    "DecisionRegions",
     "DetectionResult",
     "PamAxis",
     "WhitenedObservation",
-    "axis_log_priors",
     "bits_to_symbol",
     "brute_force_maxlog",
     "build_constellation",
-    "build_regions",
-    "cholesky_factor",
     "clamp",
     "default_precoder",
     "detect",
     "generate_channel",
     "generate_noise",
     "genie_priors",
-    "llrs_from_metrics",
     "make_channel",
     "predicted_counts",
-    "slice_statistic",
     "symbol_to_bits",
     "transmit",
     "uniform_priors",

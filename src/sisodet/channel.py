@@ -45,9 +45,9 @@ class WhitenedObservation:
     the whitened layer signatures, which are the slicer gains.
 
     Raises:
-        ValueError: If ``y``, ``h1`` and ``h2`` differ in length, or a
-            layer signature is numerically zero, since the detector
-            divides by its squared norm.
+        ValueError: If ``y``, ``h1`` and ``h2`` differ in length or hold a
+            NaN or an infinity, or a layer signature is numerically zero,
+            since the detector divides by its squared norm.
     """
 
     y: np.ndarray
@@ -63,6 +63,8 @@ class WhitenedObservation:
                 f"y, h1 and h2 must have the same length, got {lengths[0]}, "
                 f"{lengths[1]} and {lengths[2]}"
             )
+        if not all(map(cmath.isfinite, self.y.tolist() + self.h1.tolist() + self.h2.tolist())):
+            raise ValueError("whitened observation contains non-finite values")
         gain1 = float(np.vdot(self.h1, self.h1).real)
         gain2 = float(np.vdot(self.h2, self.h2).real)
         if gain1 < DEGENERATE_GAIN or gain2 < DEGENERATE_GAIN:

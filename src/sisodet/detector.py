@@ -17,7 +17,6 @@ call slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +68,14 @@ _TABLE_ROWS = np.arange(4)[:, None]
 
 
 def tone_regions(obs: WhitenedObservation, pam: PamAxis, llrs: AprioriLLRs):
-    """A tone's ``(4, L)`` log-priors and its four stacked interval tables.
+    """A tone's ``(4, L)`` log-priors, its four gains and its four stacked tables.
 
     The tables come in the order of the LLR bits: layer 1 real, layer 1
     imag, layer 2 real, layer 2 imag, each built with its own layer's gain.
     """
     logp = axis_log_priors(llrs, pam)
-    return logp, build_regions(pam, logp, (obs.gain1, obs.gain1, obs.gain2, obs.gain2))
+    gains = (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
+    return logp, gains, build_regions(pam, logp, gains)
 
 
 def detect(
@@ -90,11 +90,8 @@ def detect(
     evaluated.  Per-bit LLRs are max-differences over the enumerated
     labels.  The result matches the exhaustive pairwise max-log search.
     """
-    if not all(map(cmath.isfinite, obs.y.tolist() + obs.h1.tolist() + obs.h2.tolist())):
-        raise ValueError("whitened observation contains non-finite values")
-
     pam = c.real_axis
-    logp, regions = tone_regions(obs, pam, llrs)
+    logp, _, regions = tone_regions(obs, pam, llrs)
 
     syms = c.symbols
     y, h1, h2 = obs.y, obs.h1, obs.h2

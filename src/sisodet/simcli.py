@@ -48,6 +48,7 @@ from .constellation import VALID_ORDERS, Constellation, bits_to_symbol, build_co
 from .detector import detect, tone_regions
 from .oracle import brute_force_maxlog
 from .priors import AprioriLLRs, clamp, genie_priors
+from .slicer import upper_bounds
 
 VERIFY_TOLERANCE = 1e-6
 # Usable SNR range in dB.  The metric arithmetic overflows from about
@@ -358,17 +359,19 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
         raise UsageError(
             f"expected {2 * const.q} LLR values for M={cfg.M}, got {llr_arr.size}"
         )
-    if np.isnan(llr_arr).any():
-        raise UsageError("LLR vector contains NaN")
-    llrs = clamp(llr_arr.reshape(2, const.q))
+    try:
+        llrs = clamp(llr_arr.reshape(2, const.q))
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
     C = noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx)
     obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
     pam = const.real_axis
-    _, regions = tone_regions(obs, pam, llrs)
+    logp, gains, regions = tone_regions(obs, pam, llrs)
+    upper = upper_bounds(pam, logp, gains)
 
     lines = [REGIONS_CSV_HEADER]
-    for t, (lo, up, gone) in enumerate(zip(regions.lower, regions.upper, regions.empty)):
+    for t, (lo, up, gone) in enumerate(zip(regions.lower, upper, regions.empty)):
         layer, axis = t // 2 + 1, ("real", "imag")[t % 2]
         for k, point in enumerate(pam.points):
             bounds = f"{_fmt(lo[k])},{_fmt(up[k])}"

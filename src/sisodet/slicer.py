@@ -22,6 +22,8 @@ first of them, the one nearest to k.
 The lower bounds are the table, with NaN for an empty amplitude; the
 empty flags and the threshold count are read from them.  A walk along the
 chain needs the pairs with a survivor, ``L(L-1)/2 - E(E-1)/2`` for ``E`` empty.
+The upper bounds, which slicing never reads, come from ``upper_bounds``,
+out of the same crossover tensor.
 
 Slicing follows one rule and reads only the lower bounds: the owner of a
 statistic z is the first non-empty amplitude, from the largest down,
@@ -49,42 +51,31 @@ from .constellation import PamAxis
 
 
 class DecisionRegions:
-    """Interval tables, one per axis: amplitude k wins on [lower_k, upper_k).
+    """Interval tables, one per axis, held as their lower bounds.
 
     ``lower`` is the table: one table of ``L`` amplitudes, shape ``(L,)``,
     or a stack of ``T`` tables, shape ``(T, L)``, indexed as in PamAxis
-    (descending).  The largest amplitude has upper = +inf, the smallest
-    lower = -inf, and an empty one NaN bounds.  A statistic equal to a
-    shared threshold belongs to the higher-amplitude side, matching the
-    lowest-index tie-break of the score argmax.  ``empty`` and
-    ``boundary_count`` are read from the NaNs of ``lower``: no bound
-    depends on a crossover of two empty amplitudes, so a table with ``E``
-    of them depends on ``L(L-1)/2 - E(E-1)/2`` distinct thresholds.
+    (descending).  Amplitude k wins from ``lower_k`` up to the lower bound
+    of the survivor above it; the smallest amplitude has lower = -inf and
+    an empty one a NaN bound.  A statistic equal to a shared threshold
+    belongs to the higher-amplitude side, matching the lowest-index
+    tie-break of the score argmax.  ``empty`` and ``boundary_count`` are
+    read from the NaNs: no bound depends on a crossover of two empty
+    amplitudes, so a table with ``E`` of them depends on
+    ``L(L-1)/2 - E(E-1)/2`` distinct thresholds.
 
-    Tables from ``build_regions``, checked there, pass ``upper=None`` with
-    their crossovers and reduce ``upper`` from them on its first read.  A
-    hand-built table must give ``upper`` of the shape of ``lower``, and each
-    row of ``lower`` must be finite or NaN and end in -inf, or a named
-    ``ValueError`` is raised.
+    A hand-built table is checked, with named ``ValueError``s: each row of
+    ``lower`` must be finite or NaN and end in -inf.  ``build_regions``,
+    which has checked its crossovers, skips these checks.
     """
 
-    def __init__(
-        self, lower, upper=None, *, _crossovers: tuple[np.ndarray, np.ndarray] | None = None
-    ):
-        if _crossovers is None:
-            lower = np.asarray(lower, float)
-            if lower.ndim not in (1, 2) or lower.shape[-1] < 2:
-                raise ValueError(f"need (L,) or (T, L) lower bounds, L >= 2, got {lower.shape}")
-            if np.isinf(lower[..., :-1]).any() or not (lower[..., -1] == -np.inf).all():
-                raise ValueError("each row of lower bounds must be finite or NaN, then -inf")
-            if upper is None:
-                raise ValueError("upper bounds are required")
-            upper = np.asarray(upper, float)
-            if upper.shape != lower.shape:
-                raise ValueError(f"upper bounds have shape {upper.shape}, lower {lower.shape}")
+    def __init__(self, lower):
+        lower = np.asarray(lower, float)
+        if lower.ndim not in (1, 2) or lower.shape[-1] < 2:
+            raise ValueError(f"need (L,) or (T, L) lower bounds, L >= 2, got {lower.shape}")
+        if np.isinf(lower[..., :-1]).any() or not (lower[..., -1] == -np.inf).all():
+            raise ValueError("each row of lower bounds must be finite or NaN, then -inf")
         self.lower = lower
-        self._upper = upper
-        self._crossovers = _crossovers  # (T, L, L) crossovers and the mask of j < k
 
     @property
     def empty(self) -> np.ndarray:
@@ -96,20 +87,8 @@ class DecisionRegions:
         E = self.empty.reshape(-1, L).sum(axis=1).tolist()
         return sum(L * (L - 1) - e * (e - 1) for e in E) // 2
 
-    @property
-    def upper(self) -> np.ndarray:
-        """Upper interval bounds: each amplitude's smallest crossover with a
-        larger one, +inf for the largest, NaN when empty."""
-        if self._upper is None:
-            d, above = self._crossovers
-            upper = np.minimum.reduce(d, axis=2, where=above, initial=np.inf)
-            upper[self.empty.reshape(upper.shape)] = np.nan
-            self._upper = upper.reshape(self.lower.shape)
-            self._crossovers = None
-        return self._upper
-
     def __repr__(self) -> str:
-        return f"DecisionRegions(lower={self.lower!r}, upper={self.upper!r})"
+        return f"DecisionRegions(lower={self.lower!r})"
 
 
 def _logp_array(logp) -> np.ndarray:
@@ -119,25 +98,18 @@ def _logp_array(logp) -> np.ndarray:
     return arr
 
 
-def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
-    """Build the interval tables for one axis, flagging empty regions.
+def _crossover_tables(pam: PamAxis, logp, gain) -> tuple[np.ndarray, np.ndarray]:
+    """The checked ``(T, L, L)`` crossover tensor and the lower bounds.
 
-    ``logp`` holds one table's log-priors, shape ``(L,)``, or a stack of
-    ``T`` tables, shape ``(T, L)``; ``gain`` is one gain for every table or
-    one per table, shape ``(T,)``.  A single table is the stack of one,
-    and the result has the leading shape of ``logp``.
-
-    Evaluates the ``(T, L, L)`` crossover tensor in one pass, with the same
-    floating expression as ``oracle.pairwise_boundary``, so every
-    threshold is bit-identical to a pair-by-pair evaluation.  For each row k,
-    ``j*(k)`` is the first column ``j > k`` holding the row's largest
-    crossover, so an exact tie goes to the tied partner nearest to k
-    (the higher amplitude).  The surviving amplitudes are the chain from
-    amplitude 0 through ``j*``, and the walk along it sets the lower bound
-    of every amplitude it skips to NaN.  A survivor's lower bound is its row
-    maximum over ``j > k`` and its upper bound its row minimum over ``j < k``
-    (empty amplitudes included; they never tighten a survivor's interval);
-    the upper bounds are reduced on first read.
+    Evaluates every crossover in one pass, with the same floating
+    expression as ``oracle.pairwise_boundary``, so every threshold is
+    bit-identical to a pair-by-pair evaluation.  For each row k, ``j*(k)``
+    is the first column ``j > k`` holding the row's largest crossover, so
+    an exact tie goes to the tied partner nearest to k (the higher
+    amplitude).  The surviving amplitudes are the chain from amplitude 0
+    through ``j*``, and the walk along it sets the lower bound of every
+    amplitude it skips to NaN; a survivor's lower bound is its row maximum
+    over ``j > k``.  The lower bounds have the shape of ``logp``.
     """
     gains = np.asarray(gain, float)
     for g in gains.ravel().tolist():
@@ -184,7 +156,36 @@ def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
             k = j
     if skipped:
         lower.put(skipped, np.nan)
-    return DecisionRegions(lower.reshape(lp.shape), _crossovers=(d, pam.above))
+    return d, lower.reshape(lp.shape)
+
+
+def build_regions(pam: PamAxis, logp, gain) -> DecisionRegions:
+    """Build the interval tables for one axis, flagging empty regions.
+
+    ``logp`` holds one table's log-priors, shape ``(L,)``, or a stack of
+    ``T`` tables, shape ``(T, L)``; ``gain`` is one gain for every table or
+    one per table, shape ``(T,)``.  A single table is the stack of one,
+    and the result has the leading shape of ``logp``.  The tables are the
+    lower bounds of ``_crossover_tables``, checked there.
+    """
+    regions = DecisionRegions.__new__(DecisionRegions)  # no second check
+    regions.lower = _crossover_tables(pam, logp, gain)[1]
+    return regions
+
+
+def upper_bounds(pam: PamAxis, logp, gain) -> np.ndarray:
+    """Upper interval bounds of the tables ``build_regions`` builds.
+
+    Takes the arguments of ``build_regions`` and returns an array of the
+    shape of ``logp``: each amplitude's smallest crossover with a larger
+    one, +inf for the largest, and NaN wherever the lower bound is NaN.
+    Empty amplitudes' crossovers take part in the minimum; they never
+    tighten a survivor's interval.
+    """
+    d, lower = _crossover_tables(pam, logp, gain)
+    upper = np.minimum.reduce(d, axis=2, where=pam.above, initial=np.inf).reshape(lower.shape)
+    upper[np.isnan(lower)] = np.nan
+    return upper
 
 
 def slice_statistic(regions: DecisionRegions, z):

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from sisodet import DecisionRegions
 from sisodet.oracle import pair_metric_table
 from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
-from sisodet.slicer import _logp_array
+from sisodet.slicer import DecisionRegions, _logp_array
 
 
 def random_hermitian_pd(rng: np.random.Generator, n: int, ridge: float = 0.1):
@@ -62,8 +61,19 @@ def log_map_reference(obs, c, llrs, temperature: float = 1.0) -> np.ndarray:
     return out
 
 
-def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
-    """Pair-by-pair region build: the reference for ``build_regions``.
+class WalkedRegions(DecisionRegions):
+    """A walked table: its lower bounds, checked as a hand-built table, with
+    the upper bounds the walk found beside them, the reference for
+    ``slicer.upper_bounds``."""
+
+    def __init__(self, lower, upper):
+        super().__init__(lower)
+        self.upper = np.asarray(upper, float)
+
+
+def build_regions_walk(pam, logp, gain: float) -> WalkedRegions:
+    """Pair-by-pair region build: the reference for ``build_regions`` and
+    ``upper_bounds``.
 
     Walks the amplitudes from the largest down.  At each surviving
     amplitude the lower threshold is the max crossover with all smaller
@@ -80,7 +90,7 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
     if lp.ndim == 2:
         gains = np.broadcast_to(np.asarray(gain, float), lp.shape[:1])
         tables = [build_regions_walk(pam, row, g) for row, g in zip(lp, gains)]
-        return DecisionRegions(
+        return WalkedRegions(
             lower=np.array([t.lower for t in tables]),
             upper=np.array([t.upper for t in tables]),
         )
@@ -121,7 +131,7 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
         upper[k] = min(crossover(k, j) for j in range(k)) if k > 0 else np.inf
         k = j_star  # the amplitudes in between keep NaN bounds: empty
 
-    regions = DecisionRegions(lower=lower, upper=upper)
+    regions = WalkedRegions(lower=lower, upper=upper)
     # the evaluated pairs, counted independently of the NaNs
     assert len(cache) == regions.boundary_count, (len(cache), regions.boundary_count)
     return regions
@@ -129,6 +139,4 @@ def build_regions_walk(pam, logp, gain: float) -> DecisionRegions:
 
 def table_rows(regions) -> list:
     """Each table of a stack as a single-table ``DecisionRegions``."""
-    return [
-        DecisionRegions(lower=lo, upper=up) for lo, up in zip(regions.lower, regions.upper)
-    ]
+    return [DecisionRegions(lower) for lower in regions.lower]

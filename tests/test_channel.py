@@ -100,6 +100,23 @@ class TestWhitenedObservation:
         with pytest.raises(ValueError, match="degenerate"):
             WhitenedObservation(y=h, h1=h, h2=np.zeros(2, dtype=complex))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("y", np.nan), ("h1", np.inf), ("h2", complex(1.0, -np.inf))],
+        ids=["nan-y", "inf-h1", "inf-imag-h2"],
+    )
+    def test_non_finite_refused_on_construction(self, field, value):
+        """A NaN or an infinity is refused when the observation is built, so
+        it reaches neither detect nor the exhaustive search.  An infinite
+        signature would otherwise give a NaN gain, which the degenerate-gain
+        check lets through."""
+        rng = np.random.default_rng(6)
+        obs, _, _, _, _, _ = random_tone(rng, build_constellation(16))
+        parts = {"y": obs.y.copy(), "h1": obs.h1.copy(), "h2": obs.h2.copy()}
+        parts[field][0] = value
+        with pytest.raises(ValueError, match="whitened observation contains non-finite values"):
+            WhitenedObservation(**parts)
+
 
 class TestTransmit:
     def test_zero_symbols_zero_noise(self):

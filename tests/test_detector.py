@@ -10,23 +10,21 @@ import pytest
 from sisodet import detector
 
 from sisodet import (
-    DecisionRegions,
     brute_force_maxlog,
     build_constellation,
-    build_regions,
     clamp,
     detect,
     generate_channel,
-    llrs_from_metrics,
     make_channel,
-    slice_statistic,
     transmit,
     uniform_priors,
     whiten,
 )
 from sisodet.channel import WhitenedObservation
 from sisodet.constellation import VALID_ORDERS
+from sisodet.detector import llrs_from_metrics
 from sisodet.oracle import candidate_metric, quadratic_norm, residual_statistic
+from sisodet.slicer import DecisionRegions, build_regions, slice_statistic
 from helpers import build_regions_walk, random_tone, table_rows
 
 
@@ -290,8 +288,8 @@ class TestDetect:
         rng = np.random.default_rng(55)
         const = build_constellation(4)
         obs, llrs, _, _, _, _ = random_tone(rng, const)
-        bad = WhitenedObservation(y=np.array([np.nan + 0j, 0j]), h1=obs.h1, h2=obs.h2)
         with pytest.raises(ValueError):
+            bad = WhitenedObservation(y=np.array([np.nan + 0j, 0j]), h1=obs.h1, h2=obs.h2)
             detect(bad, const, llrs)
 
     def test_llr_width_mismatch_named(self):
@@ -350,10 +348,7 @@ class TestDetect:
 
         def build_per_table(pam, logp, gain):
             tables = [build_regions(pam, row, g) for row, g in zip(logp, gain)]
-            return DecisionRegions(
-                lower=np.array([r.lower for r in tables]),
-                upper=np.array([r.upper for r in tables]),
-            )
+            return DecisionRegions(np.array([r.lower for r in tables]))
 
         def slice_per_table(regions, z):
             return np.array([slice_statistic(r, row) for r, row in zip(table_rows(regions), z)])

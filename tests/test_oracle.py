@@ -101,8 +101,8 @@ class TestRowBlocks:
 
     @staticmethod
     def tones(M, n_rx):
-        """Seeded tones, then one with every prior at the clamp and one
-        with a NaN in the observation."""
+        """Seeded tones, then one with every prior at the clamp; a NaN in
+        the observation is refused before it can reach the oracle."""
         rng = np.random.default_rng([68, M, n_rx])
         const = build_constellation(M)
         for t in range(6 if M < 256 else 2):
@@ -114,7 +114,8 @@ class TestRowBlocks:
         yield obs, clamp(np.where(rng.integers(0, 2, (2, const.q)) > 0, np.inf, -np.inf))
         y = obs.y.copy()
         y[-1] = np.nan
-        yield WhitenedObservation(y, obs.h1, obs.h2), llrs
+        with pytest.raises(ValueError, match="whitened observation contains non-finite values"):
+            WhitenedObservation(y, obs.h1, obs.h2)
 
     @pytest.mark.parametrize("n_rx", [1, 2, 8])
     @pytest.mark.parametrize("M", [4, 16, 64, 256])
@@ -129,8 +130,6 @@ class TestRowBlocks:
                 with monkeypatch.context() as patch:
                     patch.setattr(oracle, "_BLOCK_BUDGET", budget)
                     assert self.outputs(obs, const, llrs) == expected
-            if np.isnan(obs.y).any():
-                assert np.isnan(brute_force_maxlog(obs, const, llrs)).all()
 
     def test_m64_two_antennas_is_one_block(self):
         rng = np.random.default_rng(69)

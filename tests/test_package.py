@@ -4,6 +4,7 @@ Both checks run in a fresh interpreter, because this test process has
 scipy loaded already (the references in ``helpers`` use it).
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -66,31 +67,34 @@ RECEIVER_API = [
     "ChannelRealization",
     "ComplexityEstimate",
     "Constellation",
-    "DecisionRegions",
     "DetectionResult",
     "PamAxis",
     "WhitenedObservation",
-    "axis_log_priors",
     "bits_to_symbol",
     "brute_force_maxlog",
     "build_constellation",
-    "build_regions",
-    "cholesky_factor",
     "clamp",
     "default_precoder",
     "detect",
     "generate_channel",
     "generate_noise",
     "genie_priors",
-    "llrs_from_metrics",
     "make_channel",
     "predicted_counts",
-    "slice_statistic",
     "symbol_to_bits",
     "transmit",
     "uniform_priors",
     "whiten",
 ]
+# The stage functions detect is built from, imported from their own modules.
+STAGES = {
+    "DecisionRegions": "sisodet.slicer",
+    "axis_log_priors": "sisodet.priors",
+    "build_regions": "sisodet.slicer",
+    "cholesky_factor": "sisodet.numerics",
+    "llrs_from_metrics": "sisodet.detector",
+    "slice_statistic": "sisodet.slicer",
+}
 ORACLES = (
     "argmax_slice_oracle",
     "candidate_metric",
@@ -104,9 +108,15 @@ ORACLES = (
 
 def test_public_api_is_receiver_sized():
     """The package exports what a receiver needs plus the exhaustive
-    max-log search; the other references live in sisodet.oracle only."""
+    max-log search; the stage functions detect is built from are imported
+    from their own modules, and the other references live in sisodet.oracle
+    only."""
     assert sorted(sisodet.__all__) == RECEIVER_API
+    assert len(RECEIVER_API) == 22
     assert all(hasattr(sisodet, name) for name in sisodet.__all__)
+    for name, module in STAGES.items():
+        assert callable(getattr(importlib.import_module(module), name))
+        assert not hasattr(sisodet, name)
     for name in ORACLES:
         assert callable(getattr(sisodet.oracle, name))
         assert name not in sisodet.__all__

@@ -9,14 +9,13 @@ from scipy.stats import norm
 
 from sisodet import (
     AprioriLLRs,
-    axis_log_priors,
     build_constellation,
-    build_regions,
     clamp,
     genie_priors,
-    slice_statistic,
     uniform_priors,
 )
+from sisodet.priors import axis_log_priors
+from sisodet.slicer import build_regions, slice_statistic, upper_bounds
 
 finite_llr = st.floats(min_value=-49.0, max_value=49.0)
 
@@ -242,4 +241,6 @@ class TestLogPriorShiftInvariance:
         r2 = build_regions(pam, base + 8.0, 2.0)
         keep = ~r1.empty
         np.testing.assert_array_equal(r1.lower[keep], r2.lower[keep])
-        np.testing.assert_array_equal(r1.upper[keep], r2.upper[keep])
+        np.testing.assert_array_equal(
+            upper_bounds(pam, base, 2.0)[keep], upper_bounds(pam, base + 8.0, 2.0)[keep]
+        )

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo harness and its four subcommands."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import sisodet
-from sisodet import axis_log_priors, build_constellation, clamp, detect, uniform_priors
+from sisodet import build_constellation, clamp, detect, uniform_priors
 from sisodet.oracle import pairwise_boundary
+from sisodet.priors import axis_log_priors
 from sisodet.simcli import (
     SimConfig,
     UsageError,
@@ -174,6 +176,31 @@ class TestRunRegions:
         with pytest.raises(UsageError):
             run_regions(small_config(M=16), np.zeros(6))
 
+    @pytest.mark.parametrize(
+        "M, llr, digest",
+        [
+            ("4", "0,0,0,-45", "c92a140eb88ac2cd181d0f63cbb311cc97bb388d6aace19b20bb8063f48154e9"),
+            (
+                "16",
+                "0,0,0,0,0,-45,0,0",
+                "938a1fdfdc1d6c6eb50facae9d8411fd33274c0c3e900dfff7ef356a4112b86a",
+            ),
+            (
+                "256",
+                "0,0,0,-45,0,0,0,0,3,-3,50,-50,0,0,0,0",
+                "1252976ba821d3728f1247cf8d3d0f5ccc1a3c36a0d434628d6ff34dfda8f1a3",
+            ),
+        ],
+        ids=["M4", "M16", "M256"],
+    )
+    def test_smoke_commands_byte_identical(self, M, llr, digest, capsys):
+        """The console smoke run's three ``regions`` commands print the bytes
+        they printed while the upper bounds were a ``DecisionRegions``
+        property (sha256 of stdout)."""
+        assert main(["regions", "--M", M, "--llr", llr]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestMainCli:
     def test_verify_exit_zero(self, capsys):
@@ -187,6 +214,14 @@ class TestMainCli:
     def test_malformed_llr_exit_two(self, capsys):
         assert main(["regions", "--M", "16", "--llr", "1,2,oops"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_nan_llr_exit_two(self, capsys):
+        """A NaN LLR fails the one LLR check, in AprioriLLRs: exit 2 with one
+        error line naming its rule, and nothing on stdout."""
+        assert main(["regions", "--M", "16", "--llr", "0,nan,0,0,0,0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a-priori LLRs must be within +-50, not NaN, got nan\n"
 
     def test_complexity_output(self, tmp_path):
         out = tmp_path / "counts.csv"

@@ -6,6 +6,7 @@ empty without ever computing their thresholds.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,15 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sisodet
-from sisodet import (
-    DecisionRegions,
-    axis_log_priors,
-    build_constellation,
-    build_regions,
-    clamp,
-    slice_statistic,
-)
+from sisodet import build_constellation, clamp
 from sisodet.oracle import argmax_slice_oracle, pairwise_boundary
+from sisodet.priors import L_MAX, axis_log_priors
+from sisodet.slicer import DecisionRegions, build_regions, slice_statistic, upper_bounds
 from helpers import build_regions_walk, table_rows
 
 finite_logp = st.floats(min_value=-60.0, max_value=60.0)
@@ -91,10 +87,11 @@ class TestBuildRegions:
     def test_zero_priors_midpoint_tiling(self, axis16):
         """Uniform priors give midpoint thresholds and no empty regions."""
         regions = build_regions(axis16, np.zeros(4), 1.0)
+        upper = upper_bounds(axis16, np.zeros(4), 1.0)
         expected = np.array([2.0, 0.0, -2.0]) / np.sqrt(10)
         np.testing.assert_allclose(regions.lower[:3], expected, atol=1e-12)
-        np.testing.assert_allclose(regions.upper[1:], expected, atol=1e-12)
-        assert regions.upper[0] == np.inf
+        np.testing.assert_allclose(upper[1:], expected, atol=1e-12)
+        assert upper[0] == np.inf
         assert regions.lower[3] == -np.inf
         assert not regions.empty.any()
         assert regions.boundary_count == 6
@@ -104,10 +101,11 @@ class TestBuildRegions:
         rng = np.random.default_rng(31)
         for _ in range(100):
             lp = rng.uniform(-50, 50, 2)
-            regions = build_regions(pam, lp, rng.uniform(0.01, 10))
+            gain = rng.uniform(0.01, 10)
+            regions = build_regions(pam, lp, gain)
             assert not regions.empty.any()
             assert regions.boundary_count == 1
-            assert regions.lower[0] == regions.upper[1]
+            assert regions.lower[0] == upper_bounds(pam, lp, gain)[1]
 
     def test_nonpositive_gain_rejected(self, axis16):
         with pytest.raises(ValueError):
@@ -122,7 +120,8 @@ class TestBuildRegions:
         sent the survivor chain backwards forever.  The call runs in a child
         process, so a hang fails the test instead of stalling the suite."""
         code = (
-            "from sisodet import build_constellation, build_regions\n"
+            "from sisodet import build_constellation\n"
+            "from sisodet.slicer import build_regions\n"
             "try:\n"
             "    build_regions(build_constellation(16).real_axis, [0, 1, 0, 0], 5e-324)\n"
             "except ValueError as err:\n"
@@ -359,6 +358,7 @@ class TestRegionInvariants:
             lp = rng.uniform(-50, 50, pam.L)
             gain = rng.uniform(0.02, 8)
             regions = build_regions(pam, lp, gain)
+            upper = upper_bounds(pam, lp, gain)
 
             # extremes always own a region
             assert not regions.empty[0]
@@ -368,9 +368,9 @@ class TestRegionInvariants:
             # share one finite threshold, and bounds strictly order
             keep = np.flatnonzero(~regions.empty)
             for a, b in zip(keep[:-1], keep[1:]):
-                assert regions.lower[a] == regions.upper[b]
-                assert regions.lower[a] < regions.upper[a]
-                assert regions.lower[b] < regions.upper[b]
+                assert regions.lower[a] == upper[b]
+                assert regions.lower[a] < upper[a]
+                assert regions.lower[b] < upper[b]
 
             # slicing agrees with the direct argmax everywhere
             np.testing.assert_array_equal(
@@ -395,18 +395,20 @@ class TestRegionInvariants:
             bumped[k] += delta
             before = build_regions(axis16, lp, gain)
             after = build_regions(axis16, bumped, gain)
+            before_upper = upper_bounds(axis16, lp, gain)
+            after_upper = upper_bounds(axis16, bumped, gain)
 
             # the favored amplitude can only widen (or appear)
             if not before.empty[k]:
                 assert not after.empty[k]
                 assert after.lower[k] <= before.lower[k] + 1e-12
-                assert after.upper[k] >= before.upper[k] - 1e-12
+                assert after_upper[k] >= before_upper[k] - 1e-12
             for m in range(4):
                 if m == k or after.empty[m]:
                     continue  # vanished intervals shrank by definition
                 assert not before.empty[m]  # nobody grows from empty
                 assert after.lower[m] >= before.lower[m] - 1e-12
-                assert after.upper[m] <= before.upper[m] + 1e-12
+                assert after_upper[m] <= before_upper[m] + 1e-12
 
 
 class TestWalkReference:
@@ -444,10 +446,9 @@ class TestWalkReference:
             fast = build_regions(pam, lp, gain)
             walk = build_regions_walk(pam, lp, gain)
 
-            for name in ("lower", "upper", "empty"):
-                assert np.array_equal(
-                    getattr(fast, name), getattr(walk, name), equal_nan=True
-                ), (name, lp, gain)
+            fast_upper = upper_bounds(pam, lp, gain)
+            for name, got in (("lower", fast.lower), ("upper", fast_upper), ("empty", fast.empty)):
+                assert np.array_equal(got, getattr(walk, name), equal_nan=True), (name, lp, gain)
             assert fast.boundary_count == walk.boundary_count
             E = int(walk.empty.sum())
             assert fast.boundary_count == L * (L - 1) // 2 - E * (E - 1) // 2
@@ -505,9 +506,11 @@ class TestStackedTables:
             gains = np.array([t[1] for t in tables])
             stacked = build_regions(pam, lp, gains)
             rows = [build_regions(pam, row, g) for row, g in zip(lp, gains)]
-            for name in ("lower", "upper", "empty"):
+            for name in ("lower", "empty"):
                 expected = np.array([getattr(r, name) for r in rows])
                 assert getattr(stacked, name).tobytes() == expected.tobytes(), name
+            expected = np.array([upper_bounds(pam, row, g) for row, g in zip(lp, gains)])
+            assert upper_bounds(pam, lp, gains).tobytes() == expected.tobytes(), "upper"
             assert stacked.boundary_count == sum(r.boundary_count for r in rows)
 
             # statistics exactly on every threshold of the row's table, one
@@ -522,7 +525,7 @@ class TestStackedTables:
             expected = np.array([slice_statistic(r, zt) for r, zt in zip(rows, z)])
             assert sliced.tobytes() == expected.tobytes()
             # a stack rebuilt from its tables (the derived slicing tables) agrees
-            rebuilt = DecisionRegions(lower=stacked.lower, upper=stacked.upper)
+            rebuilt = DecisionRegions(stacked.lower)
             assert slice_statistic(rebuilt, z).tobytes() == expected.tobytes()
             assert all(
                 slice_statistic(r, zt).tobytes() == e.tobytes()
@@ -541,8 +544,12 @@ class TestStackedTables:
             single = build_regions(axis16, lp, gain)
             stacked = build_regions(axis16, lp[None], [gain])
             assert single.lower.shape == (4,) and stacked.lower.shape == (1, 4)
-            for name in ("lower", "upper", "empty"):
+            for name in ("lower", "empty"):
                 assert getattr(single, name).tobytes() == getattr(stacked, name)[0].tobytes()
+            single_upper = upper_bounds(axis16, lp, gain)
+            stacked_upper = upper_bounds(axis16, lp[None], [gain])
+            assert single_upper.shape == (4,) and stacked_upper.shape == (1, 4)
+            assert single_upper.tobytes() == stacked_upper[0].tobytes()
             assert single.boundary_count == stacked.boundary_count
             z = rng.normal(0, 1, 20)
             assert np.array_equal(slice_statistic(single, z), slice_statistic(stacked, z[None])[0])
@@ -551,9 +558,71 @@ class TestStackedTables:
         lp = np.array([[0.0, -3.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
         shared = build_regions(axis16, lp, 1.5)
         each = build_regions(axis16, lp, [1.5, 1.5])
-        for name in ("lower", "upper", "empty"):
+        for name in ("lower", "empty"):
             assert getattr(shared, name).tobytes() == getattr(each, name).tobytes()
+        shared_upper = upper_bounds(axis16, lp, 1.5)
+        assert shared_upper.tobytes() == upper_bounds(axis16, lp, [1.5, 1.5]).tobytes()
         assert shared.boundary_count == each.boundary_count == 12
+
+
+class TestUpperBounds:
+    """``upper_bounds`` against the pair-by-pair walk's upper bounds, bit for
+    bit, for a stack of tables and for each of its tables alone."""
+
+    @staticmethod
+    def _matches_walk(pam, lp, gains):
+        walk = build_regions_walk(pam, lp, gains)
+        assert upper_bounds(pam, lp, gains).tobytes() == walk.upper.tobytes()
+        for row, gain, upper in zip(lp, gains, walk.upper):
+            assert upper_bounds(pam, row, gain).tobytes() == upper.tobytes()
+        return walk
+
+    @pytest.mark.parametrize("M", [16, 64, 256])
+    def test_tied_gain_battery(self, M):
+        """The slicing rule's tied-gain battery: integer log-priors with
+        gains 2^k / spacing^2, as is or one ulp off, so crossovers tie."""
+        pam = build_constellation(M).real_axis
+        rng = np.random.default_rng([41, M])
+        pruned = tied_rows = 0
+        for _ in range(4):
+            lp = rng.integers(-3, 4, (250, pam.L)).astype(float)
+            gains = 2.0 ** rng.integers(-4, 5, 250) / pam.spacing**2
+            gains = np.nextafter(gains, gains + rng.integers(-1, 2, 250))
+            walk = self._matches_walk(pam, lp, gains)
+            pruned += int(walk.empty.any(axis=1).sum())
+            tied_rows += sum(
+                TestWalkReference._tied_survivor_rows(pam, row, gain, DecisionRegions(lower))
+                for row, gain, lower in zip(lp, gains, walk.lower)
+            )
+        assert pruned > 0 and tied_rows > 0
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_strong_feedback(self, M):
+        """A tone's four tables under feedback far beyond the clamp: LLRs
+        drawn wide and clipped, or every one at +-L_MAX, with gains from weak
+        to strong.  Many tables are pruned."""
+        const = build_constellation(M)
+        pam = const.real_axis
+        rng = np.random.default_rng([40, M])
+        pruned = 0
+        for i in range(100):
+            if i % 2:
+                llrs = clamp(L_MAX * rng.choice([-1.0, 1.0], (2, const.q)))
+            else:
+                llrs = clamp(rng.normal(0, 150, (2, const.q)))
+            gains = 10.0 ** rng.uniform(-3, 4, 4)
+            walk = self._matches_walk(pam, axis_log_priors(llrs, pam), gains)
+            pruned += int(walk.empty.any(axis=1).sum())
+        if pam.L > 2:
+            assert pruned > 0
+
+    def test_named_errors_are_build_regions_errors(self, axis16):
+        """One shared builder: bad arguments fail as they do in build_regions."""
+        for logp, gain in [(np.zeros(5), 1.0), (np.zeros(4), -1.0), (np.zeros((2, 4)), [1.0])]:
+            with pytest.raises(ValueError) as built:
+                build_regions(axis16, logp, gain)
+            with pytest.raises(ValueError, match=re.escape(str(built.value))):
+                upper_bounds(axis16, logp, gain)
 
 
 class TestHandBuiltTables:
@@ -561,23 +630,20 @@ class TestHandBuiltTables:
     and ``empty`` and ``boundary_count`` are read from the NaNs."""
 
     def test_nan_bound_slices_past_empty_amplitude(self):
-        regions = DecisionRegions(lower=[1, np.nan, -1, -np.inf], upper=[np.inf, np.nan, 1, -1])
+        regions = DecisionRegions([1, np.nan, -1, -np.inf])
         assert slice_statistic(regions, 0.5) == 2
         assert regions.empty.tolist() == [False, True, False, False]
         assert regions.boundary_count == 6  # one empty amplitude leaves every pair
 
     def test_repr_rebuilds_the_table(self):
-        regions = DecisionRegions(
-            lower=[[1, np.nan, -1, -np.inf]], upper=[[np.inf, np.nan, 1, -1]]
-        )
+        regions = DecisionRegions([[1, np.nan, -1, -np.inf]])
         names = {"array": np.array, "inf": np.inf, "nan": np.nan}
         rebuilt = eval(repr(regions), {"DecisionRegions": DecisionRegions, **names})
-        for name in ("lower", "upper"):
-            assert getattr(rebuilt, name).tobytes() == getattr(regions, name).tobytes()
+        assert rebuilt.lower.tobytes() == regions.lower.tobytes()
 
     def test_boundary_count_summed_over_stack(self):
         lower = [[1, np.nan, np.nan, -np.inf], [1, 0, -1, -np.inf], [np.nan] * 3 + [-np.inf]]
-        regions = DecisionRegions(lower=lower, upper=np.zeros((3, 4)))
+        regions = DecisionRegions(lower)
         # L(L-1)/2 - E(E-1)/2 per table for E = 2, 0 and 3
         assert regions.boundary_count == (6 - 1) + 6 + (6 - 3)
         assert regions.empty.sum(axis=1).tolist() == [2, 0, 3]
@@ -603,28 +669,25 @@ class TestStackedErrors:
         with pytest.raises(ValueError, match="axis log-priors must be finite"):
             build_regions(axis16, lp, 1.0)
 
-    def test_hand_built_table_needs_upper(self):
-        with pytest.raises(ValueError, match="upper bounds are required"):
-            DecisionRegions(lower=[1, 0, -1, -np.inf], upper=None)
+    def test_hand_built_table_takes_lower_only(self):
+        """The table is its lower bounds; upper bounds come from upper_bounds."""
+        with pytest.raises(TypeError):
+            DecisionRegions([1, 0, -1, -np.inf], [np.inf, 1, 0, -1])
 
     @pytest.mark.parametrize(
-        "lower, upper, message",
+        "lower, message",
         [
-            ([1, 0, -1, -2], [np.inf, 1, 0, -1], ROW_RULE),
-            ([1, 0, -1, np.nan], [np.inf, 1, 0, -1], ROW_RULE),
-            ([1, np.inf, -1, -np.inf], [np.inf, 1, 0, -1], ROW_RULE),
-            ([1, 0, -1, -np.inf], [np.inf, 1, 0], r"upper bounds have shape \(3,\), lower \(4,\)"),
-            ([[1, 0, -1, -np.inf]], [np.inf, 1, 0, -1], r"shape \(4,\), lower \(1, 4\)"),
-            ([-np.inf], [np.inf], r"need \(L,\) or \(T, L\) lower bounds, L >= 2, got \(1,\)"),
-            (np.full((1, 1, 2), -np.inf), None, r"L >= 2, got \(1, 1, 2\)"),
+            ([1, 0, -1, -2], ROW_RULE),
+            ([1, 0, -1, np.nan], ROW_RULE),
+            ([1, np.inf, -1, -np.inf], ROW_RULE),
+            ([-np.inf], r"need \(L,\) or \(T, L\) lower bounds, L >= 2, got \(1,\)"),
+            (np.full((1, 1, 2), -np.inf), r"L >= 2, got \(1, 1, 2\)"),
         ],
-        ids=[
-            "finite-last", "nan-last", "inf-inside", "upper-length", "upper-rows", "one-level", "3d"
-        ],
+        ids=["finite-last", "nan-last", "inf-inside", "one-level", "3d"],
     )
-    def test_hand_built_table_errors(self, lower, upper, message):
+    def test_hand_built_table_errors(self, lower, message):
         with pytest.raises(ValueError, match=message):
-            DecisionRegions(lower=lower, upper=upper)
+            DecisionRegions(lower)
 
     def test_nan_statistic_in_one_row(self, axis16):
         regions = build_regions(axis16, np.zeros((3, 4)), 1.0)
@@ -665,7 +728,8 @@ class TestStackedErrors:
         """The stacked build checks every table before walking any; the
         call runs in a child process, so a hang fails the test."""
         code = (
-            "from sisodet import build_constellation, build_regions\n"
+            "from sisodet import build_constellation\n"
+            "from sisodet.slicer import build_regions\n"
             "try:\n"
             "    build_regions(build_constellation(16).real_axis,\n"
             "                  [[0, 0, 0, 0], [0, 1, 0, 0]], [1.0, 5e-324])\n"

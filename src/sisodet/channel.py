@@ -45,9 +45,9 @@ class WhitenedObservation:
     the whitened layer signatures, which are the slicer gains.
 
     Raises:
-        ValueError: If ``y``, ``h1`` and ``h2`` differ in length or hold a
-            NaN or an infinity, or a layer signature is numerically zero,
-            since the detector divides by its squared norm.
+        ValueError: If ``y``, ``h1`` and ``h2`` are not 1-D arrays, differ
+            in length or hold a NaN or an infinity, or a layer signature is
+            numerically zero, since the detector divides by its squared norm.
     """
 
     y: np.ndarray
@@ -57,6 +57,10 @@ class WhitenedObservation:
     gain2: float = field(init=False)
 
     def __post_init__(self):
+        parts = (self.y, self.h1, self.h2)
+        if not all(isinstance(a, np.ndarray) and a.ndim == 1 for a in parts):
+            got = ", ".join(f"{type(a).__name__} of shape {np.shape(a)}" for a in parts)
+            raise ValueError(f"y, h1 and h2 must be 1-D arrays, got {got}")
         lengths = (len(self.y), len(self.h1), len(self.h2))
         if not lengths[0] == lengths[1] == lengths[2]:
             raise ValueError(

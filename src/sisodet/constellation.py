@@ -32,8 +32,10 @@ class PamAxis:
             binary-reflected Gray label of ``points[k]`` (MSB first), so
             adjacent amplitudes differ in exactly one bit.
 
-    The cached properties are per-axis tables derived once from ``points``
-    and ``labels``; they live and die with the axis.
+    The cached properties are per-axis tables derived once from the axis;
+    they live and die with it.  The pair tables are ``(L, L)``, indexed
+    ``[k, j]``, and ``below`` is the one mask of which pairs have x[j]
+    below x[k]; its transpose selects the pairs with x[j] above.
     """
 
     L: int
@@ -65,21 +67,9 @@ class PamAxis:
         return _frozen(gaps)
 
     @cached_property
-    def below_bias(self) -> np.ndarray:
-        """``(L, L)`` additive mask: ``-0.0`` on pairs (k, j) with ``j > k``
-        (x[j] below x[k]), ``-inf`` elsewhere.
-
-        Adding ``-0.0`` returns every float bit for bit, signed zeros
-        included, so ``d + below_bias`` keeps the below-pairs of ``d``
-        exactly and sends the rest to ``-inf``.
-        """
-        below = np.triu(np.ones((self.L, self.L), dtype=bool), 1)
-        return _frozen(np.where(below, -0.0, -np.inf))
-
-    @cached_property
-    def above(self) -> np.ndarray:
-        """``(L, L)`` mask of pairs (k, j) with ``j < k``: x[j] above x[k]."""
-        return _frozen(np.tril(np.ones((self.L, self.L), dtype=bool), -1))
+    def below(self) -> np.ndarray:
+        """``(L, L)`` mask of pairs (k, j) with ``j > k``: x[j] below x[k]."""
+        return _frozen(np.triu(np.ones((self.L, self.L), dtype=bool), 1))
 
 
 @dataclass(frozen=True)
@@ -202,6 +192,10 @@ def bits_to_symbol(c: Constellation, bits) -> complex:
 
 def symbol_to_bits(c: Constellation, index: int) -> np.ndarray:
     """Return the bit label of the symbol at the given index."""
-    if not 0 <= index < c.M:
-        raise ValueError(f"symbol index {index} out of range [0, {c.M})")
-    return c.labels[index].copy()
+    try:
+        k = operator.index(index)
+    except TypeError:
+        raise ValueError(f"symbol index must be an integer, got {index!r}") from None
+    if not 0 <= k < c.M:
+        raise ValueError(f"symbol index {k} out of range [0, {c.M})")
+    return c.labels[k].copy()

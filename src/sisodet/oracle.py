@@ -6,10 +6,11 @@ None of these runs on the receiver path; the tests, the ``verify`` and
 The two exhaustive detectors enumerate all M**2 symbol pairs directly
 from the whitened observation; they share the constellation and labeling
 with the fast detector but none of its slicing or projection machinery,
-which is what makes agreement between the two paths meaningful.  The
-per-candidate references evaluate one projected residual, one joint
-metric, one slicing threshold or one slicing decision by its defining
-formula.
+which is what makes agreement between the two paths meaningful.  Every
+joint metric, the per-pair reference ``pair_metric_table`` included,
+comes from the one pair-metric expression in ``_pair_metric_blocks``.
+The per-candidate references evaluate one projected residual, one
+slicing threshold or one slicing decision by its defining formula.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
-from .priors import AprioriLLRs, check_llr_shape
-from .slicer import _logp_array
+from .priors import AprioriLLRs, check_llr_shape, finite_log_priors
 
 
 # Bytes of complex residual one block of the pair-metric table may hold.
@@ -113,8 +113,8 @@ def log_map(
     temperature grows, which ``temperature`` exposes for convergence
     studies (the scaled form is logsumexp(T * metrics) / T).
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0 < temperature < np.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     table = pair_metric_table(obs, c, llrs)
     table *= temperature
     mask = c.bit_mask
@@ -146,34 +146,6 @@ def residual_statistic(obs: WhitenedObservation, layer: int, symbol: complex) ->
     return complex(np.vdot(h_other, obs.y - h_own * symbol) / gain)
 
 
-def candidate_metric(
-    obs: WhitenedObservation,
-    c: Constellation,
-    llrs: AprioriLLRs,
-    enum_index: int,
-    sliced_index: int,
-    layer: int,
-) -> float:
-    """Joint log-prior sum minus residual energy for one candidate pair.
-
-    ``enum_index`` is the enumerated symbol of ``layer``; ``sliced_index``
-    the partner symbol chosen for the other layer.
-    """
-    s_enum = c.symbols[enum_index]
-    s_sliced = c.symbols[sliced_index]
-    b_enum = c.bit_weights[enum_index]
-    b_sliced = c.bit_weights[sliced_index]
-    if layer == 1:
-        prior = b_enum @ llrs.values[0] + b_sliced @ llrs.values[1]
-        r = obs.y - obs.h1 * s_enum - obs.h2 * s_sliced
-    elif layer == 2:
-        prior = b_sliced @ llrs.values[0] + b_enum @ llrs.values[1]
-        r = obs.y - obs.h1 * s_sliced - obs.h2 * s_enum
-    else:
-        raise ValueError(f"layer must be 1 or 2, got {layer}")
-    return float(prior - np.vdot(r, r).real)
-
-
 def pairwise_boundary(pam: PamAxis, k: int, j: int, logp, gain: float) -> float:
     """Score crossover between amplitudes k and j; symmetric in (k, j).
 
@@ -184,7 +156,7 @@ def pairwise_boundary(pam: PamAxis, k: int, j: int, logp, gain: float) -> float:
         raise ValueError("boundary requires two distinct amplitudes")
     if not gain > 0:
         raise ValueError(f"gain must be positive, got {gain}")
-    lp = _logp_array(logp)
+    lp = finite_log_priors(logp)
     xk = float(pam.points[k])
     xj = float(pam.points[j])
     return (xk + xj) / 2.0 - (float(lp[k]) - float(lp[j])) / (
@@ -202,7 +174,7 @@ def argmax_slice_oracle(pam: PamAxis, logp, gain: float, z):
     """
     if not gain > 0:
         raise ValueError(f"gain must be positive, got {gain}")
-    lp = _logp_array(logp)
+    lp = finite_log_priors(logp)
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     scores = lp[:, None] / gain - (z_arr[None, :] - pam.points[:, None]) ** 2
     result = np.argmax(scores, axis=0)

@@ -12,6 +12,7 @@ is never computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +29,16 @@ class AprioriLLRs:
     read-only float copy.
 
     Raises:
-        ValueError: Unless ``values`` is a (2, q) array within +-L_MAX.
+        ValueError: Unless ``values`` is a real (2, q) array within +-L_MAX.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = np.asarray(self.values)
+        if np.iscomplexobj(arr):
+            raise ValueError("a-priori LLRs must be real, got complex values")
+        arr = np.array(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != 2:
             raise ValueError(f"expected a (2, q) LLR array, got shape {arr.shape}")
         bad = [v for v in arr.ravel().tolist() if not -L_MAX <= v <= L_MAX]
@@ -87,6 +91,14 @@ def axis_log_priors(llrs: AprioriLLRs, pam: PamAxis) -> np.ndarray:
     return logp
 
 
+def finite_log_priors(logp) -> np.ndarray:
+    """``logp`` as a float array; ValueError unless every entry is finite."""
+    arr = np.asarray(logp, float)
+    if not all(map(math.isfinite, arr.ravel().tolist())):
+        raise ValueError("axis log-priors must be finite")
+    return arr
+
+
 def genie_priors(
     rng: np.random.Generator,
     true_bits,
@@ -104,5 +116,7 @@ def genie_priors(
     bits = np.asarray(true_bits, dtype=float)
     if bits.ndim != 2 or bits.shape[0] != 2:
         raise ValueError(f"expected (2, q) true bits, got shape {bits.shape}")
+    if not set(bits.ravel().tolist()) <= {0.0, 1.0}:
+        raise ValueError("true bits must be 0 or 1")
     noise = rng.standard_normal(bits.shape) * np.sqrt(2.0 * mu)
     return clamp(mu * (2.0 * bits - 1.0) + noise)

@@ -48,6 +48,7 @@ import math
 import numpy as np
 
 from .constellation import PamAxis
+from .priors import finite_log_priors
 
 
 class DecisionRegions:
@@ -91,13 +92,6 @@ class DecisionRegions:
         return f"DecisionRegions(lower={self.lower!r})"
 
 
-def _logp_array(logp) -> np.ndarray:
-    arr = np.asarray(logp, float)
-    if not all(map(math.isfinite, arr.ravel().tolist())):
-        raise ValueError("axis log-priors must be finite")
-    return arr
-
-
 def _crossover_tables(pam: PamAxis, logp, gain) -> tuple[np.ndarray, np.ndarray]:
     """The checked ``(T, L, L)`` crossover tensor and the lower bounds.
 
@@ -115,7 +109,7 @@ def _crossover_tables(pam: PamAxis, logp, gain) -> tuple[np.ndarray, np.ndarray]
     for g in gains.ravel().tolist():
         if not g > 0:
             raise ValueError(f"gain must be positive, got {g}")
-    lp = _logp_array(logp)
+    lp = finite_log_priors(logp)
     L = pam.L
     if L < 2:
         raise ValueError("need at least two amplitudes to slice")
@@ -132,7 +126,7 @@ def _crossover_tables(pam: PamAxis, logp, gain) -> tuple[np.ndarray, np.ndarray]
     d = pam.pair_midpoints - (stack[:, :, None] - stack[:, None, :]) / (
         pam.pair_gaps * gains.reshape(-1, 1, 1)
     )
-    below = d + pam.below_bias  # d on j > k, -inf elsewhere, bit for bit
+    below = np.where(pam.below, d, -np.inf)
     # Each row's first maximum and its value, gathered by flat index: no
     # crossover is -0.0, so the gathered maximum is the reduced one bit for
     # bit, and the gather costs less than a second pass over the rows.
@@ -183,7 +177,7 @@ def upper_bounds(pam: PamAxis, logp, gain) -> np.ndarray:
     tighten a survivor's interval.
     """
     d, lower = _crossover_tables(pam, logp, gain)
-    upper = np.minimum.reduce(d, axis=2, where=pam.above, initial=np.inf).reshape(lower.shape)
+    upper = np.minimum.reduce(d, axis=2, where=pam.below.T, initial=np.inf).reshape(lower.shape)
     upper[np.isnan(lower)] = np.nan
     return upper
 

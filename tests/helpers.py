@@ -7,7 +7,8 @@ from scipy.special import logsumexp
 
 from sisodet.oracle import pair_metric_table
 from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
-from sisodet.slicer import DecisionRegions, _logp_array
+from sisodet.priors import finite_log_priors
+from sisodet.slicer import DecisionRegions
 
 
 def random_hermitian_pd(rng: np.random.Generator, n: int, ridge: float = 0.1):
@@ -86,7 +87,7 @@ def build_regions_walk(pam, logp, gain: float) -> WalkedRegions:
     from the NaNs.  A ``(T, L)`` stack of log-priors, with one gain or
     ``T`` of them, is walked table by table.
     """
-    lp = _logp_array(logp)
+    lp = finite_log_priors(logp)
     if lp.ndim == 2:
         gains = np.broadcast_to(np.asarray(gain, float), lp.shape[:1])
         tables = [build_regions_walk(pam, row, g) for row, g in zip(lp, gains)]

@@ -8,6 +8,7 @@ import pytest
 from sisodet import (
     WhitenedObservation,
     build_constellation,
+    default_precoder,
     generate_channel,
     generate_noise,
     make_channel,
@@ -94,6 +95,21 @@ class TestWhitenedObservation:
         h = np.ones(3, dtype=complex)
         with pytest.raises(ValueError, match="same length, got 2, 3 and 3"):
             WhitenedObservation(y=np.zeros(2, dtype=complex), h1=h, h2=h)
+
+    @pytest.mark.parametrize(
+        "parts, got",
+        [
+            (([1, 0], [1, 0], [0, 1]), "list of shape (2,), list of shape (2,), list of shape (2,)"),
+            ((np.ones((2, 2)), np.ones(2), np.ones(2)),
+             "ndarray of shape (2, 2), ndarray of shape (2,), ndarray of shape (2,)"),
+        ],
+        ids=["lists", "2-D-y"],
+    )
+    def test_not_one_dimensional_arrays_named(self, parts, got):
+        """Lists and a 2-D y are named, not left to an AttributeError or a
+        TypeError from the finiteness check."""
+        with pytest.raises(ValueError, match=re.escape(f"y, h1 and h2 must be 1-D arrays, got {got}")):
+            WhitenedObservation(*parts)
 
     def test_degenerate_signature_rejected(self):
         h = np.ones(2, dtype=complex)
@@ -201,6 +217,14 @@ class TestMakeChannel:
         W = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         ch = make_channel(Hbar, np.eye(2), precoder=W)
         np.testing.assert_allclose(ch.effective_channel, Hbar @ W, atol=1e-12)
+
+    def test_one_dimensional_channel_named(self):
+        with pytest.raises(ValueError, match=r"expected an \(N_r, N_t\) channel matrix, got shape \(2,\)"):
+            make_channel(np.ones(2), np.eye(2))
+
+    def test_one_transmit_antenna_rejected(self):
+        with pytest.raises(ValueError, match="need at least two transmit antennas"):
+            default_precoder(1)
 
     def test_default_precoder_selects_two_columns(self):
         ch = make_channel(np.eye(3, dtype=complex), np.eye(3))

@@ -188,6 +188,17 @@ class TestBitMapping:
         with pytest.raises(ValueError):
             symbol_to_bits(c, -1)
 
+    @pytest.mark.parametrize("bad", [2.5, "3", None])
+    def test_symbol_to_bits_non_integer_named(self, bad):
+        """A non-integer index is named, as a constellation order is, not
+        left to numpy's indexing error."""
+        with pytest.raises(ValueError, match=f"symbol index must be an integer, got {bad!r}"):
+            symbol_to_bits(build_constellation(16), bad)
+
+    def test_symbol_to_bits_numpy_integer_index(self):
+        c = build_constellation(16)
+        np.testing.assert_array_equal(symbol_to_bits(c, np.int64(5)), c.labels[5])
+
     def test_symbol_to_bits_all_distinct(self):
         c = build_constellation(64)
         seen = {tuple(symbol_to_bits(c, k)) for k in range(c.M)}

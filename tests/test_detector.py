@@ -23,7 +23,7 @@ from sisodet import (
 from sisodet.channel import WhitenedObservation
 from sisodet.constellation import VALID_ORDERS
 from sisodet.detector import llrs_from_metrics
-from sisodet.oracle import candidate_metric, quadratic_norm, residual_statistic
+from sisodet.oracle import pair_metric_table, quadratic_norm, residual_statistic
 from sisodet.slicer import DecisionRegions, build_regions, slice_statistic
 from helpers import build_regions_walk, random_tone, table_rows
 
@@ -87,17 +87,17 @@ class TestCandidateMetric:
         obs, bits, _ = _noiseless_obs(rng, const)
         idx = [int("".join(map(str, row)), 2) for row in bits]
         llrs = uniform_priors(const.q)
-        eta = candidate_metric(obs, const, llrs, idx[0], idx[1], 1)
+        eta = pair_metric_table(obs, const, llrs)[idx[0], idx[1]]
         assert abs(eta) <= 1e-12
 
     def test_zero_priors_never_positive(self):
         rng = np.random.default_rng(44)
         const = build_constellation(16)
         obs, _, _, _, _, _ = random_tone(rng, const)
-        llrs = uniform_priors(const.q)
+        table = pair_metric_table(obs, const, uniform_priors(const.q))
         for _ in range(50):
             i, j = rng.integers(0, const.M, 2)
-            assert candidate_metric(obs, const, llrs, i, j, 1) <= 0
+            assert table[i, j] <= 0
 
     def test_matches_quadratic_norm_route(self):
         """Metric recomputed through the weighted-norm module agrees."""
@@ -106,7 +106,7 @@ class TestCandidateMetric:
         for _ in range(20):
             obs, llrs, _, ch, y, _ = random_tone(rng, const, rho=0.5, mu=4.0)
             i, j = rng.integers(0, const.M, 2)
-            eta = candidate_metric(obs, const, llrs, i, j, 1)
+            eta = pair_metric_table(obs, const, llrs)[i, j]
             prior = (
                 const.labels[i].astype(float) @ llrs.values[0]
                 + const.labels[j].astype(float) @ llrs.values[1]
@@ -400,7 +400,7 @@ class TestDetect:
         detect(obs, const, llrs)
         axis = const.real_axis
         tables = (const.bit_weights, const.bit_mask, const.split_bit_index, axis.bit_weights,
-                  axis.pair_midpoints, axis.pair_gaps, axis.below_bias, axis.above)
+                  axis.pair_midpoints, axis.pair_gaps, axis.below)
         refs = [weakref.ref(table) for table in tables]
         del const, axis, tables
         gc.collect()

@@ -214,8 +214,9 @@ class TestLogMap:
         rng = np.random.default_rng(66)
         const = build_constellation(4)
         obs, llrs, _, _, _, _ = random_tone(rng, const)
-        with pytest.raises(ValueError):
-            log_map(obs, const, llrs, temperature=0.0)
+        for temperature in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                log_map(obs, const, llrs, temperature=temperature)
 
 
 class TestLogMapDifferential:

@@ -4,6 +4,7 @@ Both checks run in a fresh interpreter, because this test process has
 scipy loaded already (the references in ``helpers`` use it).
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -97,7 +98,6 @@ STAGES = {
 }
 ORACLES = (
     "argmax_slice_oracle",
-    "candidate_metric",
     "log_map",
     "pair_metric_table",
     "pairwise_boundary",
@@ -120,3 +120,24 @@ def test_public_api_is_receiver_sized():
     for name in ORACLES:
         assert callable(getattr(sisodet.oracle, name))
         assert name not in sisodet.__all__
+
+
+def test_oracle_imports_no_detector_code():
+    """The references share the constellation, the labelling and the
+    a-priori LLR contract with the detector, but no slicing or detection
+    code: agreement between the two paths means nothing otherwise."""
+    tree = ast.parse(Path(sisodet.oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: the package the oracle lives in
+                base = f"sisodet.{base}" if base else "sisodet"
+            imported.append(base)
+            imported += [f"{base}.{alias.name}" for alias in node.names]
+    assert "sisodet.priors" in imported
+    for name in imported:
+        for forbidden in ("sisodet.slicer", "sisodet.detector"):
+            assert name != forbidden and not name.startswith(forbidden + "."), name

@@ -69,6 +69,15 @@ class TestAprioriLLRs:
         with pytest.raises(ValueError, match=r"expected a \(2, q\) LLR array"):
             AprioriLLRs(np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "values", [np.full((2, 4), 1 + 2j), [[1 + 2j, 0], [0, 0]]], ids=["array", "list"]
+    )
+    def test_complex_rejected(self, values):
+        """Complex LLRs are named, not cast to their real parts or left to
+        a raw TypeError from float()."""
+        with pytest.raises(ValueError, match="a-priori LLRs must be real, got complex values"):
+            AprioriLLRs(values)
+
     def test_list_stored_read_only_float(self):
         llrs = AprioriLLRs([[1, -2], [0, 3]])
         assert isinstance(llrs.values, np.ndarray)
@@ -202,6 +211,19 @@ class TestGeniePriors:
         bits = np.ones((2, 4), dtype=int)
         out = genie_priors(rng, bits, 1000.0)
         assert np.all(np.abs(out.values) <= 50.0)
+
+    @pytest.mark.parametrize("bad", [2, 0.5, -1, np.nan])
+    def test_non_binary_bits_rejected(self, bad):
+        """A true bit other than 0 or 1 would centre its LLR elsewhere than
+        +-mu."""
+        bits = np.zeros((2, 4))
+        bits[1, 3] = bad
+        with pytest.raises(ValueError, match="true bits must be 0 or 1"):
+            genie_priors(np.random.default_rng(0), bits, 1.0)
+
+    def test_wrong_bit_rows_named(self):
+        with pytest.raises(ValueError, match=r"expected \(2, q\) true bits, got shape \(3, 4\)"):
+            genie_priors(np.random.default_rng(0), np.zeros((3, 4)), 1.0)
 
     def test_negative_mu_rejected(self):
         for mu in (-1.0, np.nan, np.inf):

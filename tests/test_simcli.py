@@ -19,6 +19,7 @@ from sisodet.simcli import (
     UsageError,
     _build_parser,
     draw_tone,
+    load_config_file,
     main,
     noise_covariance,
     run_regions,
@@ -303,6 +304,52 @@ class TestMainCli:
         path = str(tmp_path / "missing" / "sim.csv")
         assert main(["simulate", "--M", "4", "--tones", "2", "--out", path]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write output file {path!r}: ")
+
+    def test_regions_unwritable_out_exit_two(self, tmp_path, capsys):
+        """`regions` has no early out check: the write itself fails, named."""
+        path = str(tmp_path / "missing" / "r.csv")
+        assert main(["regions", "--M", "16", "--llr", "0,0,0,0,0,-45,0,0", "--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write output file {path!r}: ")
+
+    def test_complexity_one_receive_antenna_exit_two(self, capsys):
+        assert main(["complexity", "--M", "16", "--nr", "1"]) == 2
+        assert capsys.readouterr().err == "error: need at least two receive antennas, got 1\n"
+
+    def test_empty_list_exit_two(self, capsys):
+        assert main(["verify", "--snr-db", ","]) == 2
+        assert capsys.readouterr().err == "error: --snr-db list is empty\n"
+
+    def test_missing_config_file_exit_two(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.cfg")
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path!r}: ")
+
+    def test_config_line_without_equals_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("tones\n")
+        assert main(["verify", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:1: expected `key = value`, got 'tones'\n"
+
+    def test_bad_config_bool_exit_two(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("verify_first = maybe\n")
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad value for config key 'verify_first': expected true/false\n"
+        )
+
+    def test_config_blank_and_comment_lines_skipped(self, tmp_path, capsys):
+        """A file with blank lines and comment-only lines parses as without
+        them, and runs as the flags it names."""
+        config = tmp_path / "run.cfg"
+        config.write_text("# a short sweep\n\nM = 16\n   \n  # indented\ntones = 3\n\n")
+        assert load_config_file(str(config)) == {"M": "16", "tones": "3"}
+        assert main(["verify", "--config", str(config)]) == 0
+        from_config = capsys.readouterr()
+        assert main(["verify", "--M", "16", "--tones", "3"]) == 0
+        assert capsys.readouterr() == from_config
 
     def test_config_value_replaces_malformed_flag(self, tmp_path, capsys):
         """The file's key is set on the flag before the flag is parsed."""

@@ -10,7 +10,6 @@ from sisodet.simcli import SimConfig, run_simulate
 cfg = SimConfig(
     M=16,
     n_rx=2,
-    n_tx=2,
     snr_db_list=(0.0, 4.0, 8.0, 12.0, 16.0),
     mu_list=(0.0, 2.0, 8.0),
     tones=400,

@@ -30,7 +30,7 @@ for M in (4, 16, 64, 256):
 M = 16
 const = build_constellation(M)
 ceiling = predicted_counts("proposed", M, N_RX).metrics
-tone = draw_tone(np.random.default_rng(5), const, np.eye(N_RX) * 0.25, mu=0.0, n_tx=2)
+tone = draw_tone(np.random.default_rng(5), const, np.eye(N_RX) * 0.25, mu=0.0)
 
 plain = detect(tone.obs, const, tone.llrs).total_metric_count
 print(f"\nmeasured, M={M}, no feedback:")

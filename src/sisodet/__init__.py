@@ -15,7 +15,6 @@ the tests compare against lives in ``sisodet.oracle``.
 from .channel import (
     ChannelRealization,
     WhitenedObservation,
-    default_precoder,
     generate_channel,
     generate_noise,
     make_channel,
@@ -48,7 +47,6 @@ __all__ = [
     "brute_force_maxlog",
     "build_constellation",
     "clamp",
-    "default_precoder",
     "detect",
     "generate_channel",
     "generate_noise",

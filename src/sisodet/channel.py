@@ -1,15 +1,16 @@
 """Dual-layer narrowband channel model, noise generation, and whitening.
 
-One tone obeys ``y = H s + n`` with ``H`` the effective channel (physical
-channel times precoder), ``s`` two unit-energy QAM symbols, and ``n``
-zero-mean complex Gaussian noise with covariance ``C``.  The detector
-consumes only whitened quantities, where the noise-precision-weighted
-norm becomes a plain Euclidean norm.
+One tone obeys ``y = H s + n`` with ``H`` the ``(N_r, 2)`` channel whose
+columns are the layer signatures ``h1`` and ``h2``, ``s`` two unit-energy
+QAM symbols, and ``n`` zero-mean complex Gaussian noise with covariance
+``C``.  The detector consumes only whitened quantities, where the
+noise-precision-weighted norm becomes a plain Euclidean norm.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +25,11 @@ class ChannelRealization:
     """Per-tone channel state known to the receiver.
 
     Attributes:
-        physical_channel: ``(N_r, N_t)`` matrix of antenna gains.
-        precoder: ``(N_t, 2)`` mapping of the two layers onto antennas.
-        effective_channel: ``physical_channel @ precoder``, columns are
-            the per-layer signatures.
+        effective_channel: ``(N_r, 2)`` matrix whose columns are the
+            layer signatures ``h1`` and ``h2``.
         noise_precision: Inverse of the noise covariance (Hermitian PD).
     """
 
-    physical_channel: np.ndarray
-    precoder: np.ndarray
     effective_channel: np.ndarray
     noise_precision: np.ndarray
 
@@ -47,7 +44,8 @@ class WhitenedObservation:
     Raises:
         ValueError: If ``y``, ``h1`` and ``h2`` are not 1-D arrays, differ
             in length or hold a NaN or an infinity, or a layer signature is
-            numerically zero, since the detector divides by its squared norm.
+            numerically zero, since the detector divides by its squared norm,
+            or so large that its squared norm overflows.
     """
 
     y: np.ndarray
@@ -75,63 +73,44 @@ class WhitenedObservation:
             raise ValueError(
                 f"degenerate channel: whitened layer gains {gain1:.3e}, {gain2:.3e}"
             )
+        if gain1 == math.inf or gain2 == math.inf:
+            raise ValueError(
+                f"whitened layer gain overflowed: gains {gain1:.3e}, {gain2:.3e}"
+            )
         object.__setattr__(self, "gain1", gain1)
         object.__setattr__(self, "gain2", gain2)
 
 
-def default_precoder(n_tx: int) -> np.ndarray:
-    """Two-column antenna selection (identity when n_tx == 2)."""
-    if n_tx < 2:
-        raise ValueError("need at least two transmit antennas for two layers")
-    return np.eye(n_tx, 2, dtype=complex)
-
-
-def make_channel(
-    physical_channel, noise_covariance, precoder=None
-) -> ChannelRealization:
+def make_channel(channel, noise_covariance) -> ChannelRealization:
     """Assemble a ChannelRealization from channel and noise covariance.
 
-    The noise interface is the covariance because that is what simulator
-    users reason about; the stored state is its inverse, which the
-    whitener factors.
+    The channel is copied, so changing the caller's array afterwards
+    leaves the realization alone.  The noise interface is the covariance
+    because that is what simulator users reason about; the stored state is
+    its inverse, which the whitener factors.
 
     Raises:
-        ValueError: If the shapes do not match (the precoder must be
-            ``(N_t, 2)``), the channel or precoder has a non-finite
-            entry, or the covariance is not finite and Hermitian.
+        ValueError: If the channel is not ``(N_r, 2)`` or has a non-finite
+            entry, or the covariance is not ``(N_r, N_r)``, finite and
+            Hermitian.
         LinAlgError: If the covariance is not positive definite.
     """
-    Hbar = np.asarray(physical_channel, dtype=complex)
+    H = np.array(channel, dtype=complex, order="C")  # a mat-vec rounds per memory layout
     C = np.asarray(noise_covariance, dtype=complex)
-    if Hbar.ndim != 2:
-        raise ValueError(f"expected an (N_r, N_t) channel matrix, got shape {Hbar.shape}")
-    n_rx = Hbar.shape[0]
+    if H.ndim != 2 or H.shape[1] != 2:
+        raise ValueError(f"expected an (N_r, 2) channel matrix, got shape {H.shape}")
+    n_rx = H.shape[0]
     if C.shape != (n_rx, n_rx):
         raise ValueError(
             f"noise covariance must be ({n_rx}, {n_rx}) for a channel of shape "
-            f"{Hbar.shape}, got shape {C.shape}"
+            f"{H.shape}, got shape {C.shape}"
         )
-    if not all(map(cmath.isfinite, Hbar.ravel().tolist())):
+    if not all(map(cmath.isfinite, H.ravel().tolist())):
         raise ValueError("channel matrix contains non-finite values")
-    if precoder is None:
-        precoder = default_precoder(Hbar.shape[1])
-    W = np.asarray(precoder, dtype=complex)
-    if W.shape != (Hbar.shape[1], 2):
-        raise ValueError(
-            f"precoder must be ({Hbar.shape[1]}, 2) for a channel of shape "
-            f"{Hbar.shape}, got shape {W.shape}"
-        )
-    if not all(map(cmath.isfinite, W.ravel().tolist())):
-        raise ValueError("precoder contains non-finite values")
     cholesky_factor(C)  # reject non-PD covariances early, with the pivot named
     Q = np.linalg.inv(C)
     Q = 0.5 * (Q + Q.conj().T)
-    return ChannelRealization(
-        physical_channel=Hbar,
-        precoder=W,
-        effective_channel=Hbar @ W,
-        noise_precision=Q,
-    )
+    return ChannelRealization(effective_channel=H, noise_precision=Q)
 
 
 def transmit(s, ch: ChannelRealization, n) -> np.ndarray:
@@ -162,7 +141,7 @@ def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
     Raises:
         ValueError: If ``y`` does not have one entry per receive antenna,
             or a whitened layer signature is numerically zero, since the
-            detector divides by its squared norm.
+            detector divides by its squared norm, or that norm overflows.
     """
     y = np.asarray(y, dtype=complex).ravel()
     n_rx = ch.effective_channel.shape[0]

@@ -10,6 +10,7 @@ depend on arithmetic conventions below the granularity of this library.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -36,6 +37,10 @@ def predicted_counts(kind: str, M: int, n_rx: int) -> ComplexityEstimate:
     M = require_valid_order(M)
     if kind not in DETECTOR_KINDS:
         raise ValueError(f"detector kind must be one of {DETECTOR_KINDS}, got {kind!r}")
+    try:
+        n_rx = operator.index(n_rx)
+    except TypeError:
+        raise ValueError(f"receive antenna count must be an integer, got {n_rx!r}") from None
     if n_rx < 2:
         raise ValueError(f"need at least two receive antennas, got {n_rx}")
     root = isqrt(M)

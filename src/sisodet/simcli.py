@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -67,7 +68,6 @@ class SimConfig:
 
     M: int = 16
     n_rx: int = 2
-    n_tx: int = 2
     snr_db_list: tuple = (10.0,)
     mu_list: tuple = (0.0,)
     tones: int = 1000
@@ -76,12 +76,16 @@ class SimConfig:
     verify_first: bool = True
 
     def validate(self) -> None:
+        for name in ("M", "n_rx", "tones", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise UsageError(f"{name} must be an integer, got {value!r}") from None
         if self.M not in VALID_ORDERS:
             raise UsageError(f"M must be one of {VALID_ORDERS}, got {self.M}")
         if self.n_rx < 2:
             raise UsageError(f"need at least 2 receive antennas, got {self.n_rx}")
-        if self.n_tx < 2:
-            raise UsageError(f"need at least 2 transmit antennas, got {self.n_tx}")
         if self.tones < 1:
             raise UsageError(f"tones must be at least 1, got {self.tones}")
         if self.seed < 0:
@@ -155,15 +159,15 @@ def draw_tone(
     const: Constellation,
     noise_covariance: np.ndarray,
     mu: float,
-    n_tx: int,
 ) -> ToneData:
     """Draw one random tone: channel, bits, noise, then genie feedback.
 
-    The receive antenna count comes from the covariance.  The draws are
-    made in a fixed order from ``rng``, so one stream gives one tone.
+    The channel is an i.i.d. ``(N_r, 2)`` Gaussian matrix, one column per
+    layer, with the receive antenna count taken from the covariance.  The
+    draws are made in a fixed order from ``rng``, so one stream gives one
+    tone.
     """
-    Hbar = generate_channel(rng, noise_covariance.shape[0], n_tx)
-    ch = make_channel(Hbar, noise_covariance)
+    ch = make_channel(generate_channel(rng, noise_covariance.shape[0], 2), noise_covariance)
     bits = rng.integers(0, 2, size=(2, const.q))
     s = np.array(
         [bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])]
@@ -208,9 +212,8 @@ def _failure_report(cfg: SimConfig, failure: ToneFailure, reason: str) -> str:
         f"FAILURE: {reason}",
         f"offending tone: point_index={failure.point_index} tone_index={failure.tone_index}",
         f"point: snr_db={_fmt(failure.point[0])} mu={_fmt(failure.point[1])}",
-        f"config: M={cfg.M} n_rx={cfg.n_rx} n_tx={cfg.n_tx} seed={cfg.seed} rho={_fmt(cfg.rho)}",
-        f"physical_channel = {data.channel.physical_channel.tolist()!r}",
-        f"precoder = {data.channel.precoder.tolist()!r}",
+        f"config: M={cfg.M} n_rx={cfg.n_rx} seed={cfg.seed} rho={_fmt(cfg.rho)}",
+        f"channel = {data.channel.effective_channel.tolist()!r}",
         f"noise_covariance = {data.noise_covariance.tolist()!r}",
         f"true_bits = {data.bits.tolist()!r}",
         f"noise = {data.noise.tolist()!r}",
@@ -247,7 +250,7 @@ def _sweep(
         det_errors = orc_errors = metric_sum = 0
         max_disc = 0.0
         for t_idx in range(cfg.tones):
-            data = draw_tone(tone_rng(cfg.seed, p_idx, t_idx), const, C, mu, cfg.n_tx)
+            data = draw_tone(tone_rng(cfg.seed, p_idx, t_idx), const, C, mu)
             result = detect(data.obs, const, data.llrs)
             reference = brute_force_maxlog(data.obs, const, data.llrs)
             disc = float(np.abs(result.llrs - reference).max())
@@ -291,7 +294,7 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
     cfg.validate()
     records, failure = _sweep(cfg, build_constellation(cfg.M), stop_at_failure=False)
     lines = [
-        f"verify M={cfg.M} n_rx={cfg.n_rx} n_tx={cfg.n_tx} tones_per_point={cfg.tones} "
+        f"verify M={cfg.M} n_rx={cfg.n_rx} tones_per_point={cfg.tones} "
         f"seed={cfg.seed} rho={_fmt(cfg.rho)}"
     ]
     for rec in records:
@@ -365,7 +368,7 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
         raise UsageError(str(err)) from None
 
     C = noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx)
-    obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
+    obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0]).obs
     pam = const.real_axis
     logp, gains, regions = tone_regions(obs, pam, llrs)
     upper = upper_bounds(pam, logp, gains)
@@ -447,7 +450,6 @@ def _parse_bool(text: str) -> bool:
 _CONFIG_KEYS = {
     "M": int,
     "nr": int,
-    "nt": int,
     "snr_db": None,
     "mu": None,
     "tones": int,
@@ -480,7 +482,6 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
     cfg = SimConfig(
         M=args.M,
         n_rx=args.nr,
-        n_tx=args.nt,
         snr_db_list=_parse_list(args.snr_db, "--snr-db"),
         seed=args.seed,
         rho=args.rho,
@@ -544,7 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
         flags = argparse.ArgumentParser(add_help=False)
         flags.add_argument("--M", type=int, default=16, help="constellation order")
         flags.add_argument("--nr", type=int, default=2, help="receive antennas")
-        flags.add_argument("--nt", type=int, default=2, help="transmit antennas")
         if sweep:
             flags.add_argument("--tones", type=int, default=1000, help="tones per grid point")
         flags.add_argument("--seed", type=int, default=1, help="master RNG seed")

@@ -21,14 +21,13 @@ def random_tone(
     rng: np.random.Generator,
     const,
     n_rx: int = 2,
-    n_tx: int = 2,
     snr_db: float = 10.0,
     rho: float = 0.0,
     mu: float = 0.0,
 ):
     """One random transmission: returns (obs, llrs, bits, channel, y, C)."""
     C = noise_covariance(sigma2_from_snr_db(snr_db), rho, n_rx)
-    tone = draw_tone(rng, const, C, mu, n_tx)
+    tone = draw_tone(rng, const, C, mu)
     return tone.obs, tone.llrs, tone.bits, tone.channel, tone.y, C
 
 

@@ -75,6 +75,17 @@ class TestPredictedCounts:
         with pytest.raises(ValueError):
             predicted_counts("proposed", 16, 1)
 
+    @pytest.mark.parametrize("bad", [2.5, "2"])
+    def test_non_integral_antennas_named(self, bad):
+        """Not evaluated into a float count, nor left to a raw TypeError."""
+        with pytest.raises(ValueError, match=rf"receive antenna count must be an integer, got {bad!r}$"):
+            predicted_counts("proposed", 16, bad)
+
+    def test_numpy_integer_antennas(self):
+        est = predicted_counts("proposed", 16, np.int64(2))
+        assert est == predicted_counts("proposed", 16, 2)
+        assert type(est.n_rx) is int and type(est.real_muls) is int
+
 
 class TestMeasuredVsPredicted:
     def test_no_pruning_tone_hits_ceiling(self):

@@ -52,7 +52,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     statuses = [main(argv) for argv in runs]
 const = build_constellation(16)
 C = noise_covariance(sigma2_from_snr_db(10.0), 0.5, 2)
-tone = draw_tone(tone_rng(1, 0, 0), const, C, 4.0, 2)
+tone = draw_tone(tone_rng(1, 0, 0), const, C, 4.0)
 print(statuses, bool(np.isfinite(log_map(tone.obs, const, tone.llrs)).all()))
 """
 
@@ -75,7 +75,6 @@ RECEIVER_API = [
     "brute_force_maxlog",
     "build_constellation",
     "clamp",
-    "default_precoder",
     "detect",
     "generate_channel",
     "generate_noise",
@@ -112,7 +111,7 @@ def test_public_api_is_receiver_sized():
     from their own modules, and the other references live in sisodet.oracle
     only."""
     assert sorted(sisodet.__all__) == RECEIVER_API
-    assert len(RECEIVER_API) == 22
+    assert len(RECEIVER_API) == 21
     assert all(hasattr(sisodet, name) for name in sisodet.__all__)
     for name, module in STAGES.items():
         assert callable(getattr(importlib.import_module(module), name))

@@ -35,7 +35,6 @@ def small_config(**overrides) -> SimConfig:
     base = dict(
         M=4,
         n_rx=2,
-        n_tx=2,
         snr_db_list=(10.0,),
         mu_list=(0.0,),
         tones=50,
@@ -76,7 +75,7 @@ class TestRunSimulate:
         errors = 0
         for t in range(cfg.tones):
             C = noise_covariance(sigma2, cfg.rho, cfg.n_rx)
-            data = draw_tone(tone_rng(cfg.seed, 0, t), const, C, 0.0, cfg.n_tx)
+            data = draw_tone(tone_rng(cfg.seed, 0, t), const, C, 0.0)
             result = detect(data.obs, const, uniform_priors(const.q))
             errors += int(np.sum((result.llrs > 0).astype(int) != data.bits))
         assert records[0].bit_errors_detector == errors
@@ -157,7 +156,7 @@ class TestRunRegions:
         const = build_constellation(M)
         pam = const.real_axis
         C = noise_covariance(sigma2_from_snr_db(snr_db), cfg.rho, cfg.n_rx)
-        obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0], cfg.n_tx).obs
+        obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0]).obs
         llrs = clamp(np.reshape(np.asarray(llr, float), (2, const.q)))
         expected = []
         logp = iter(axis_log_priors(llrs, pam))  # rows in the loop order below
@@ -204,6 +203,23 @@ class TestRunRegions:
 
 
 class TestMainCli:
+    def test_smoke_simulate_byte_identical(self, capsys):
+        """The console smoke run's ``simulate`` command prints fixed bytes
+        (sha256 of stdout), so every tone's ``(seed, point, tone)`` stream
+        draws the same channel, bits, noise and feedback."""
+        argv = ["simulate", "--M", "16", "--tones", "20", "--snr-db", "0,10", "--mu", "0,4", "--rho", "0.5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        digest = "bf171f3ea4e97f1f5a1a451f6ccef92b1c1378ef56ddee31a1dd900a61fdbc8d"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_transmit_antenna_flag_gone(self, capsys):
+        """Two layers are two channel columns: there is no ``--nt``."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", "--nt", "2", "--tones", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --nt 2" in capsys.readouterr().err
+
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--M", "4", "--tones", "20", "--seed", "3"]) == 0
         assert "RESULT: PASS" in capsys.readouterr().out
@@ -367,6 +383,12 @@ class TestMainCli:
         assert main(["verify", "--config", str(config)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_transmit_antenna_config_key_unknown(self, tmp_path, capsys):
+        config = tmp_path / "nt.cfg"
+        config.write_text("nt = 2\n")
+        assert main(["verify", "--tones", "2", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key 'nt'\n"
+
     @pytest.mark.parametrize("flag", [["--tones", "7"], ["--mu", "4"]])
     def test_regions_rejects_sweep_flags(self, flag, capsys):
         """`regions` draws one fixed tone, so the sweep flags are usage errors."""
@@ -502,7 +524,25 @@ class TestFailurePaths:
         assert status == 1
         assert "RESULT: FAIL" in report
         assert "offending tone" in report
-        assert "physical_channel" in report
+        assert "channel =" in report
+
+    def test_failure_dump_replays_tone(self, monkeypatch):
+        """The dumped channel, covariance and y rebuild the failing tone's
+        whitened observation bit for bit."""
+        import ast
+
+        import sisodet.simcli as cli
+
+        monkeypatch.setattr(cli, "detect", self._broken_detect)
+        cfg = small_config(tones=3, rho=0.5)
+        _, report = run_verify(cfg)
+        dump = dict(line.split(" = ", 1) for line in report.splitlines() if " = [" in line)
+        channel, cov, y = (np.array(ast.literal_eval(dump[k])) for k in ("channel", "noise_covariance", "y"))
+        obs = sisodet.whiten(y, sisodet.make_channel(channel, cov))
+        C = noise_covariance(sigma2_from_snr_db(10.0), 0.5, 2)
+        drawn = draw_tone(tone_rng(cfg.seed, 0, 0), build_constellation(4), C, 0.0).obs
+        for got, want in ((obs.y, drawn.y), (obs.h1, drawn.h1), (obs.h2, drawn.h2)):
+            np.testing.assert_array_equal(got, want)
 
     def test_simulate_aborts_on_disagreement(self, monkeypatch):
         import sisodet.simcli as cli
@@ -596,7 +636,7 @@ class TestConfigValidation:
         [
             dict(M=8),
             dict(n_rx=1),
-            dict(n_tx=1),
+            dict(n_rx=np.float64(2.0)),
             dict(tones=0),
             dict(rho=1.0),
             dict(rho=-0.1),
@@ -612,6 +652,22 @@ class TestConfigValidation:
     def test_rejected(self, overrides):
         with pytest.raises(UsageError):
             small_config(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("M", 16.0), ("n_rx", 2.5), ("tones", 2.5), ("seed", 1.5), ("tones", "2")],
+    )
+    def test_non_integer_count_named(self, name, value):
+        """Named before any count reaches numpy or the constellation
+        builder, which would round it, or fail with a raw TypeError."""
+        with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
+            run_verify(small_config(**{name: value}))
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = small_config(M=np.int64(16), n_rx=np.int32(3), tones=np.int16(3), seed=np.uint8(7))
+        status, report = run_verify(cfg)
+        assert status == 0
+        assert report == run_verify(small_config(M=16, n_rx=3, tones=3, seed=7))[1]
 
     def test_midpoint_cross_check_with_library(self):
         """CLI region rows agree with direct threshold computation."""

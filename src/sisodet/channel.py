@@ -5,6 +5,13 @@ columns are the layer signatures ``h1`` and ``h2``, ``s`` two unit-energy
 QAM symbols, and ``n`` zero-mean complex Gaussian noise with covariance
 ``C``.  The detector consumes only whitened quantities, where the
 noise-precision-weighted norm becomes a plain Euclidean norm.
+
+A ``NoiseModel`` holds what one covariance costs to prepare: its Cholesky
+factor (for drawing noise), its precision and, from the first whitening
+on, the precision's whitener.  Every function that takes a noise
+covariance also takes a model, so a caller whose tones share a covariance
+builds the model once and passes it; an array is turned into a model on
+each call.
 """
 
 from __future__ import annotations
@@ -12,12 +19,68 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .numerics import cholesky_factor
 
 DEGENERATE_GAIN = 1e-14
+# Largest norm bound ``|y| + 2 (|h1| + |h2|)`` a whitened observation may
+# have.  Every unit-energy QAM symbol has modulus below 2, so every pair's
+# residual energy is below this bound squared, a quarter of the largest
+# float: the metrics, the priors added to them and their differences all
+# stay finite.
+MAX_NORM_BOUND = math.sqrt(np.finfo(float).max) / 2.0
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """A noise covariance with the factorizations the channel model needs.
+
+    Construction copies and checks the covariance, factors it and inverts
+    it; the whitener is factored from the precision on first use and kept.
+    A model shared by many tones thus factors its covariance once and its
+    precision once, and every array it holds is read-only.
+
+    Attributes:
+        covariance: ``(N_r, N_r)`` Hermitian positive definite covariance
+            ``C``.
+        factor: Lower-triangular ``G`` with ``G G^H = C``, which
+            ``generate_noise`` colours its draws with.
+        precision: ``C^-1``, made exactly Hermitian.
+
+    Raises:
+        ValueError: If the covariance is not square, finite and Hermitian.
+        LinAlgError: If it is not positive definite; the message names the
+            first non-positive pivot.
+    """
+
+    covariance: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False)
+    precision: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        C = np.array(self.covariance, dtype=complex)
+        G = cholesky_factor(C)
+        Q = np.linalg.inv(C)
+        Q = 0.5 * (Q + Q.conj().T)
+        for name, arr in (("covariance", C), ("factor", G), ("precision", Q)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def whitener(self) -> np.ndarray:
+        """``F^H`` for the Cholesky factor ``F`` of the precision: it turns
+        the precision-weighted norm into the Euclidean one."""
+        GH = cholesky_factor(self.precision).conj().T
+        GH.setflags(write=False)
+        return GH
+
+
+def noise_model(noise) -> NoiseModel:
+    """``noise`` if it is a ``NoiseModel``, else the model of the covariance."""
+    return noise if isinstance(noise, NoiseModel) else NoiseModel(noise)
 
 
 @dataclass(frozen=True)
@@ -27,11 +90,16 @@ class ChannelRealization:
     Attributes:
         effective_channel: ``(N_r, 2)`` matrix whose columns are the
             layer signatures ``h1`` and ``h2``.
-        noise_precision: Inverse of the noise covariance (Hermitian PD).
+        noise: The noise model, shared with every tone built from it.
     """
 
     effective_channel: np.ndarray
-    noise_precision: np.ndarray
+    noise: NoiseModel
+
+    @property
+    def noise_precision(self) -> np.ndarray:
+        """Inverse of the noise covariance (Hermitian PD)."""
+        return self.noise.precision
 
 
 @dataclass(frozen=True)
@@ -45,7 +113,9 @@ class WhitenedObservation:
         ValueError: If ``y``, ``h1`` and ``h2`` are not 1-D arrays, differ
             in length or hold a NaN or an infinity, or a layer signature is
             numerically zero, since the detector divides by its squared norm,
-            or so large that its squared norm overflows.
+            or so large that its squared norm overflows, or the norm bound
+            ``|y| + 2 (|h1| + |h2|)`` on every residual exceeds
+            ``MAX_NORM_BOUND``, so that a pair metric could overflow.
     """
 
     y: np.ndarray
@@ -77,17 +147,27 @@ class WhitenedObservation:
             raise ValueError(
                 f"whitened layer gain overflowed: gains {gain1:.3e}, {gain2:.3e}"
             )
+        bound = math.sqrt(np.vdot(self.y, self.y).real) + 2.0 * (
+            math.sqrt(gain1) + math.sqrt(gain2)
+        )
+        if not bound <= MAX_NORM_BOUND:
+            raise ValueError(
+                f"whitened observation too large: residual norm bound {bound:.3e} "
+                f"exceeds {MAX_NORM_BOUND:.3e}, so its metrics could overflow"
+            )
         object.__setattr__(self, "gain1", gain1)
         object.__setattr__(self, "gain2", gain2)
 
 
-def make_channel(channel, noise_covariance) -> ChannelRealization:
-    """Assemble a ChannelRealization from channel and noise covariance.
+def make_channel(channel, noise) -> ChannelRealization:
+    """Assemble a ChannelRealization from a channel and its noise.
 
     The channel is copied, so changing the caller's array afterwards
-    leaves the realization alone.  The noise interface is the covariance
-    because that is what simulator users reason about; the stored state is
-    its inverse, which the whitener factors.
+    leaves the realization alone.  ``noise`` is a ``NoiseModel``, reused as
+    it is, or a covariance, which is modelled here: factored once, which
+    checks it, and inverted.  Whitening factors the precision on the
+    model's first use, so a tone built from an array costs two
+    factorizations, and one built from a model already used costs none.
 
     Raises:
         ValueError: If the channel is not ``(N_r, 2)`` or has a non-finite
@@ -96,21 +176,18 @@ def make_channel(channel, noise_covariance) -> ChannelRealization:
         LinAlgError: If the covariance is not positive definite.
     """
     H = np.array(channel, dtype=complex, order="C")  # a mat-vec rounds per memory layout
-    C = np.asarray(noise_covariance, dtype=complex)
     if H.ndim != 2 or H.shape[1] != 2:
         raise ValueError(f"expected an (N_r, 2) channel matrix, got shape {H.shape}")
-    n_rx = H.shape[0]
-    if C.shape != (n_rx, n_rx):
-        raise ValueError(
-            f"noise covariance must be ({n_rx}, {n_rx}) for a channel of shape "
-            f"{H.shape}, got shape {C.shape}"
-        )
     if not all(map(cmath.isfinite, H.ravel().tolist())):
         raise ValueError("channel matrix contains non-finite values")
-    cholesky_factor(C)  # reject non-PD covariances early, with the pivot named
-    Q = np.linalg.inv(C)
-    Q = 0.5 * (Q + Q.conj().T)
-    return ChannelRealization(effective_channel=H, noise_precision=Q)
+    model = noise_model(noise)
+    n_rx = H.shape[0]
+    if model.covariance.shape != (n_rx, n_rx):
+        raise ValueError(
+            f"noise covariance must be ({n_rx}, {n_rx}) for a channel of shape "
+            f"{H.shape}, got shape {model.covariance.shape}"
+        )
+    return ChannelRealization(effective_channel=H, noise=model)
 
 
 def transmit(s, ch: ChannelRealization, n) -> np.ndarray:
@@ -137,6 +214,8 @@ def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
 
     With ``G G^H`` equal to the noise precision, multiplying by ``G^H``
     turns the precision-weighted residual norm into a Euclidean one.
+    ``G^H`` is the noise model's whitener, factored on the model's first
+    whitening and reused by every later tone of the same model.
 
     Raises:
         ValueError: If ``y`` does not have one entry per receive antenna,
@@ -149,13 +228,13 @@ def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
         raise ValueError(
             f"observation has {y.size} entries, the channel has {n_rx} receive antennas"
         )
-    GH = cholesky_factor(ch.noise_precision).conj().T
+    GH = ch.noise.whitener
     y_t = GH @ y
     # One stacked mat-vec per layer signature: the rows are the whitened
     # signatures, rounded exactly as GH @ (one column) rounds them.
     h1, h2 = (GH @ ch.effective_channel.T[:, :, None])[:, :, 0]
     for arr in (y_t, h1, h2):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return WhitenedObservation(y=y_t, h1=h1, h2=h2)
 
 
@@ -166,10 +245,14 @@ def generate_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarr
     ) / np.sqrt(2.0)
 
 
-def generate_noise(rng: np.random.Generator, noise_covariance) -> np.ndarray:
-    """Draw one zero-mean complex Gaussian vector with the given covariance."""
-    C = np.asarray(noise_covariance, dtype=complex)
-    G = cholesky_factor(C)
-    n = C.shape[0]
+def generate_noise(rng: np.random.Generator, noise) -> np.ndarray:
+    """Draw one zero-mean complex Gaussian vector with the given covariance.
+
+    ``noise`` is a ``NoiseModel``, whose stored Cholesky factor colours
+    the draw, or a covariance, which is modelled (factored once) for this
+    one draw.
+    """
+    G = noise_model(noise).factor
+    n = G.shape[0]
     w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
     return G @ w

@@ -74,24 +74,19 @@ def brute_force_maxlog(
     """Max-log bit LLRs by exhaustive search over all M**2 symbol pairs.
 
     The pair metrics are reduced block by block, to row maxima and a
-    running column maximum, so the (M, M) table is never held.  Returns
-    the (2, q) LLR array.
+    running column maximum, so the (M, M) table is never held.  Each
+    layer's best metric per symbol is then gathered by the labelling's
+    ``split_bit_index`` and reduced to the best with each bit set and
+    clear.  Returns the (2, q) LLR array.
     """
-    best_given_1 = np.empty(c.M)
-    best_given_2 = None
+    best = np.empty((2, c.M))
+    best[1] = -np.inf
     for rows, block in _pair_metric_blocks(obs, c, llrs):
-        block.max(axis=1, out=best_given_1[rows])
-        column = block.max(axis=0)
+        block.max(axis=1, out=best[0, rows])
         # np.maximum propagates NaN as the max over the whole table does.
-        best_given_2 = column if best_given_2 is None else np.maximum(best_given_2, column)
-    mask = c.bit_mask
-    out = np.empty((2, c.q))
-    for row, best in enumerate((best_given_1, best_given_2)):
-        stacked = best[:, None]
-        out[row] = np.where(mask, stacked, -np.inf).max(axis=0) - np.where(
-            mask, -np.inf, stacked
-        ).max(axis=0)
-    return out
+        np.maximum(best[1], block.max(axis=0), out=best[1])
+    per_bit = np.maximum.reduce(best.take(c.split_bit_index, axis=-1), axis=-1)
+    return per_bit[:, : c.q] - per_bit[:, c.q :]
 
 
 def _logsumexp(a: np.ndarray) -> float:

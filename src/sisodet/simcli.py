@@ -12,11 +12,13 @@ Subcommands:
 Decoder feedback is replaced by a genie: a-priori LLRs are drawn around
 the true bits with a reliability dial ``mu`` (0 means no feedback).  All
 randomness derives from (seed, point index, tone index), so any
-invocation is reproducible byte for byte.  ``verify`` and ``simulate``
-share one sweep, which gives one ``SimRecord`` per grid point and the
-first tone that failed the gate; ``verify`` prints its point lines from
-the records and ``simulate`` its CSV rows.  A ``--config`` file's keys are
-the flags' dests and are set on the parsed flags before the one
+invocation is reproducible byte for byte.  The noise covariance depends
+only on the SNR, so a sweep builds one ``NoiseModel`` per distinct SNR and
+every tone at that SNR shares its factorizations.  ``verify`` and
+``simulate`` share one sweep, which gives one ``SimRecord`` per grid point
+and the first tone that failed the gate; ``verify`` prints its point lines
+from the records and ``simulate`` its CSV rows.  A ``--config`` file's keys
+are the flags' dests and are set on the parsed flags before the one
 ``SimConfig`` is built.  Exit codes: 0 success, 1 verification failure,
 2 usage error (including a negative seed and an unwritable ``--out``,
 which ``verify`` and ``simulate`` detect before the sweep).
@@ -37,10 +39,12 @@ import numpy as np
 
 from .channel import (
     ChannelRealization,
+    NoiseModel,
     WhitenedObservation,
     generate_channel,
     generate_noise,
     make_channel,
+    noise_model,
     transmit,
     whiten,
 )
@@ -52,9 +56,10 @@ from .priors import AprioriLLRs, clamp, genie_priors
 from .slicer import upper_bounds
 
 VERIFY_TOLERANCE = 1e-6
-# Usable SNR range in dB.  The metric arithmetic overflows from about
-# 3000 dB, far above the top; near -130 dB a weak channel draw already
-# puts a whitened layer gain under the degenerate-channel floor.
+# Usable SNR range in dB.  From about 3000 dB, far above the top, a
+# whitened tone's metrics could overflow and the observation is refused;
+# near -130 dB a weak channel draw already puts a whitened layer gain
+# under the degenerate-channel floor.
 SNR_DB_RANGE = (-100.0, 300.0)
 
 
@@ -125,7 +130,6 @@ class ToneData:
     """Everything drawn for one tone, kept for failure dumps."""
 
     channel: ChannelRealization
-    noise_covariance: np.ndarray
     bits: np.ndarray
     noise: np.ndarray
     y: np.ndarray
@@ -157,7 +161,7 @@ def tone_rng(seed: int, point_index: int, tone_index: int) -> np.random.Generato
 def draw_tone(
     rng: np.random.Generator,
     const: Constellation,
-    noise_covariance: np.ndarray,
+    noise: NoiseModel | np.ndarray,
     mu: float,
 ) -> ToneData:
     """Draw one random tone: channel, bits, noise, then genie feedback.
@@ -165,20 +169,21 @@ def draw_tone(
     The channel is an i.i.d. ``(N_r, 2)`` Gaussian matrix, one column per
     layer, with the receive antenna count taken from the covariance.  The
     draws are made in a fixed order from ``rng``, so one stream gives one
-    tone.
+    tone.  ``noise`` is a ``NoiseModel``, whose factorizations every tone
+    drawn with it shares, or a covariance, modelled for this tone alone.
     """
-    ch = make_channel(generate_channel(rng, noise_covariance.shape[0], 2), noise_covariance)
+    model = noise_model(noise)
+    ch = make_channel(generate_channel(rng, model.covariance.shape[0], 2), model)
     bits = rng.integers(0, 2, size=(2, const.q))
     s = np.array(
         [bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])]
     )
-    n = generate_noise(rng, noise_covariance)
+    n = generate_noise(rng, model)
     y = transmit(s, ch, n)
     obs = whiten(y, ch)
     llrs = genie_priors(rng, bits, mu)
     return ToneData(
         channel=ch,
-        noise_covariance=noise_covariance,
         bits=bits,
         noise=n,
         y=y,
@@ -214,7 +219,7 @@ def _failure_report(cfg: SimConfig, failure: ToneFailure, reason: str) -> str:
         f"point: snr_db={_fmt(failure.point[0])} mu={_fmt(failure.point[1])}",
         f"config: M={cfg.M} n_rx={cfg.n_rx} seed={cfg.seed} rho={_fmt(cfg.rho)}",
         f"channel = {data.channel.effective_channel.tolist()!r}",
-        f"noise_covariance = {data.noise_covariance.tolist()!r}",
+        f"noise_covariance = {data.channel.noise.covariance.tolist()!r}",
         f"true_bits = {data.bits.tolist()!r}",
         f"noise = {data.noise.tolist()!r}",
         f"y = {data.y.tolist()!r}",
@@ -227,6 +232,11 @@ def _sweep(
     cfg: SimConfig, const: Constellation, stop_at_failure: bool
 ) -> tuple[list[SimRecord], ToneFailure | None]:
     """Run the (snr, mu) grid: one record per point and the first failure.
+
+    The noise covariance depends on the SNR alone, so one ``NoiseModel``
+    per distinct SNR is built before the loop and shared by every tone at
+    that SNR: a full sweep factors ``2 S`` times for ``S`` distinct SNRs,
+    whatever the mu list and the tone count.
 
     Every tone is drawn from its own (seed, point, tone) stream, detected
     by ``detect`` and by the exhaustive ``brute_force_maxlog``, and gated:
@@ -245,12 +255,15 @@ def _sweep(
     records: list[SimRecord] = []
     failure: ToneFailure | None = None
     points = [(snr, mu) for snr in cfg.snr_db_list for mu in cfg.mu_list]
+    models = {
+        snr: NoiseModel(noise_covariance(sigma2_from_snr_db(snr), cfg.rho, cfg.n_rx))
+        for snr in set(cfg.snr_db_list)
+    }
     for p_idx, (snr_db, mu) in enumerate(points):
-        C = noise_covariance(sigma2_from_snr_db(snr_db), cfg.rho, cfg.n_rx)
         det_errors = orc_errors = metric_sum = 0
         max_disc = 0.0
         for t_idx in range(cfg.tones):
-            data = draw_tone(tone_rng(cfg.seed, p_idx, t_idx), const, C, mu)
+            data = draw_tone(tone_rng(cfg.seed, p_idx, t_idx), const, models[snr_db], mu)
             result = detect(data.obs, const, data.llrs)
             reference = brute_force_maxlog(data.obs, const, data.llrs)
             disc = float(np.abs(result.llrs - reference).max())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
+from sisodet import channel
 from sisodet.oracle import pair_metric_table
 from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
 from sisodet.priors import finite_log_priors
@@ -15,6 +16,20 @@ def random_hermitian_pd(rng: np.random.Generator, n: int, ridge: float = 0.1):
     """Well-conditioned random Hermitian positive-definite matrix."""
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return A @ A.conj().T + ridge * np.eye(n)
+
+
+def count_cholesky(monkeypatch) -> list:
+    """Count the factorizations the channel model makes: each call of
+    ``sisodet.channel.cholesky_factor`` appends its matrix to the list."""
+    calls = []
+    factor = channel.cholesky_factor
+
+    def counted(Q):
+        calls.append(Q)
+        return factor(Q)
+
+    monkeypatch.setattr(channel, "cholesky_factor", counted)
+    return calls
 
 
 def random_tone(

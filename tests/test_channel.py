@@ -4,18 +4,26 @@ import re
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 
 from sisodet import (
     WhitenedObservation,
+    brute_force_maxlog,
     build_constellation,
+    clamp,
+    detect,
     generate_channel,
     generate_noise,
     make_channel,
     transmit,
     whiten,
 )
+from sisodet.channel import MAX_NORM_BOUND, NoiseModel
+from sisodet.numerics import cholesky_factor
 from sisodet.oracle import quadratic_norm
-from helpers import random_hermitian_pd, random_tone
+from sisodet.priors import L_MAX
+from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
+from helpers import count_cholesky, random_hermitian_pd, random_tone
 
 
 def _channel_with_precision(Q, Hbar=None):
@@ -144,6 +152,165 @@ class TestWhitenedObservation:
         parts[field][0] = value
         with pytest.raises(ValueError, match="whitened observation contains non-finite values"):
             WhitenedObservation(**parts)
+
+
+def _norm_bound(y, h1, h2) -> float:
+    return np.linalg.norm(y) + 2.0 * (np.linalg.norm(h1) + np.linalg.norm(h2))
+
+
+class TestNormBound:
+    """Observations whose pair metrics could overflow are refused on
+    construction; everything up to the bound detects to finite LLRs."""
+
+    @pytest.mark.parametrize(
+        "y, h1",
+        [([1e300, 0], [1, 0]), ([1e160, 0], [1e150, 0])],
+        ids=["huge-y", "huge-y-and-h1"],
+    )
+    def test_overflowing_metrics_named(self, y, h1):
+        """Both gave NaN LLRs, and the second a misleading NaN-statistic
+        error from detect, before the bound was checked."""
+        with pytest.raises(ValueError, match="whitened observation too large"):
+            WhitenedObservation(
+                y=np.array(y, dtype=complex),
+                h1=np.array(h1, dtype=complex),
+                h2=np.array([0, 1], dtype=complex),
+            )
+
+    @staticmethod
+    def _directions():
+        """Unit-scale (y, h1, h2) shapes: one part dominant, the signatures
+        aligned against y (the largest residual for a given bound), and
+        random draws at 2 to 4 antennas."""
+        u, v = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+        shapes = [
+            (u, 1e-150 * u, 1e-150 * v),
+            (0 * u, u, 1e-150 * v),
+            (-u, u, u),
+            (-u, (1 + 1j) * u, (1 + 1j) * u),
+        ]
+        rng = np.random.default_rng(70)
+        for n_rx in (2, 3, 4):
+            shapes.append(tuple(rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx) for _ in range(3)))
+        return shapes
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_just_inside_bound_detects_finite(self, M):
+        """Scaled to one part in 2**40 below the bound, detect and the
+        exhaustive search give finite LLRs (with warnings as errors), with
+        uniform priors and with every prior at the clamp."""
+        const = build_constellation(M)
+        rng = np.random.default_rng([71, M])
+        for y, h1, h2 in self._directions():
+            scale = MAX_NORM_BOUND / _norm_bound(y, h1, h2) * (1 - 2.0**-40)
+            obs = WhitenedObservation(y=scale * y, h1=scale * h1, h2=scale * h2)
+            for values in (np.zeros((2, const.q)), rng.choice([-L_MAX, L_MAX], (2, const.q))):
+                llrs = clamp(values)
+                assert np.isfinite(detect(obs, const, llrs).llrs).all()
+                assert np.isfinite(brute_force_maxlog(obs, const, llrs)).all()
+
+    def test_just_outside_bound_rejected(self):
+        for y, h1, h2 in self._directions():
+            scale = MAX_NORM_BOUND / _norm_bound(y, h1, h2) * (1 + 2.0**-40)
+            with pytest.raises(ValueError, match="whitened observation too large"):
+                WhitenedObservation(y=scale * y, h1=scale * h1, h2=scale * h2)
+
+    @pytest.mark.parametrize("n_rx", [2, 3, 4, 8])
+    def test_cli_snr_range_far_inside(self, n_rx):
+        """The top of the CLI's SNR range with strongly correlated noise,
+        the largest whitened tones it can draw, is a hundred orders of
+        magnitude inside the bound."""
+        C = noise_covariance(sigma2_from_snr_db(300.0), 0.9, n_rx)
+        const = build_constellation(256)
+        for t in range(20):
+            obs = draw_tone(np.random.default_rng([72, n_rx, t]), const, C, 0.0).obs
+            assert _norm_bound(obs.y, obs.h1, obs.h2) < 1e-100 * MAX_NORM_BOUND
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize("snr_db", [-100.0, 0.0, 120.0, 300.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n_rx", [2, 3, 4])
+    def test_reused_model_matches_array_path(self, n_rx, rho, snr_db):
+        """The model holds the covariance's factor, the symmetrized inverse
+        and its whitener exactly as they are computed from the array; one
+        model reused over several tones gives, bit for bit, the channel,
+        precision, whitened tone, noise draws and LLRs that passing the
+        array to each call gives."""
+        C = noise_covariance(sigma2_from_snr_db(snr_db), rho, n_rx)
+        model = NoiseModel(C)
+        Q = np.linalg.inv(C)
+        Q = 0.5 * (Q + Q.conj().T)
+        np.testing.assert_array_equal(model.covariance, C)
+        np.testing.assert_array_equal(model.factor, cholesky_factor(C))
+        np.testing.assert_array_equal(model.precision, Q)
+        np.testing.assert_array_equal(model.whitener, cholesky_factor(Q).conj().T)
+
+        const = build_constellation(16)
+        rng = np.random.default_rng([73, n_rx, int(10 * rho), int(snr_db) + 100])
+        for t in range(4):
+            n = generate_noise(np.random.default_rng([74, t]), model)
+            np.testing.assert_array_equal(n, generate_noise(np.random.default_rng([74, t]), C))
+            H = generate_channel(rng, n_rx, 2)
+            from_model, from_array = make_channel(H, model), make_channel(H, C)
+            np.testing.assert_array_equal(from_model.effective_channel, from_array.effective_channel)
+            np.testing.assert_array_equal(from_model.noise_precision, from_array.noise_precision)
+            y = transmit(rng.choice(const.symbols, size=2), from_model, n)
+            a, b = whiten(y, from_model), whiten(y, from_array)
+            for part in ("y", "h1", "h2"):
+                np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+            llrs = clamp(rng.uniform(-8.0, 8.0, (2, const.q)))
+            np.testing.assert_array_equal(detect(a, const, llrs).llrs, detect(b, const, llrs).llrs)
+
+    def test_state_is_read_only_copy(self):
+        """A model shared by many tones cannot be changed through the
+        caller's array or its own."""
+        C = np.eye(2, dtype=complex)
+        model = NoiseModel(C)
+        C[0, 0] = 4.0
+        assert model.covariance[0, 0] == 1.0
+        for arr in (model.covariance, model.factor, model.precision, model.whitener):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "C, error, match",
+        [
+            (np.diag([1.0, np.nan]), ValueError, "non-finite"),
+            (np.array([[1.0, 0.5], [0.0, 1.0]]), ValueError, "not Hermitian"),
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), LinAlgError, r"pivot 1 is -3\.000e\+00"),
+            (np.ones((2, 3)), ValueError, r"square matrix, got shape \(2, 3\)"),
+        ],
+        ids=["non-finite", "non-Hermitian", "not-PD", "non-square"],
+    )
+    def test_named_errors(self, C, error, match):
+        with pytest.raises(error, match=match):
+            NoiseModel(C)
+
+    def test_shape_must_match_channel(self):
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 3\)"):
+            make_channel(np.eye(2, dtype=complex), NoiseModel(np.eye(3)))
+
+    def test_receiver_tone_factors_twice(self, monkeypatch):
+        """make_channel factors the covariance and whiten the precision."""
+        calls = count_cholesky(monkeypatch)
+        ch = make_channel(np.eye(2, dtype=complex), 0.5 * np.eye(2))
+        whiten(np.ones(2), ch)
+        assert len(calls) == 2
+
+    def test_array_noise_draw_factors_once(self, monkeypatch):
+        calls = count_cholesky(monkeypatch)
+        generate_noise(np.random.default_rng(0), np.eye(2))
+        assert len(calls) == 1
+
+    def test_reused_model_factors_twice_in_all(self, monkeypatch):
+        """Tones sharing a model share its two factorizations."""
+        calls = count_cholesky(monkeypatch)
+        model = NoiseModel(0.5 * np.eye(3))
+        rng = np.random.default_rng(75)
+        for _ in range(5):
+            ch = make_channel(generate_channel(rng, 3, 2), model)
+            whiten(transmit([1, 1j], ch, generate_noise(rng, model)), ch)
+        assert len(calls) == 2
 
 
 class TestTransmit:

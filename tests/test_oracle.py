@@ -18,6 +18,7 @@ from sisodet import (
 )
 from sisodet import oracle
 from sisodet.oracle import _logsumexp, log_map, pair_metric_table
+from sisodet.priors import L_MAX
 from helpers import log_map_reference, pair_metric_table_reference, random_tone
 
 
@@ -50,6 +51,33 @@ class TestBruteForce:
         a = brute_force_maxlog(obs, const, llrs)
         b = brute_force_maxlog(obs, const, llrs)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_equals_max_difference_over_table(self, M):
+        """Each LLR is the best metric of the pair table's rows (layer 1)
+        or columns (layer 2) with the bit set minus the best with it clear,
+        bit for bit: without feedback, where the priors are signed zeros,
+        with feedback, and with every prior at the +-L_MAX clamp."""
+        rng = np.random.default_rng([65, M])
+        const = build_constellation(M)
+        mask = const.bit_mask
+        negative_zeros = 0
+        for t in range(12 if M < 256 else 6):
+            obs, llrs, _, _, _, _ = random_tone(
+                rng, const, snr_db=rng.uniform(-10.0, 120.0), rho=0.5, mu=(0.0, 4.0, 0.0)[t % 3]
+            )
+            if t % 3 == 0:
+                assert not llrs.values.any()
+                negative_zeros += int(np.signbit(llrs.values).sum())
+            elif t % 3 == 2:
+                llrs = clamp(rng.choice([-L_MAX, L_MAX], (2, const.q)))
+            table = pair_metric_table(obs, const, llrs)
+            expected = np.array([
+                [table[mask[:, n]].max() - table[~mask[:, n]].max() for n in range(const.q)],
+                [table[:, mask[:, n]].max() - table[:, ~mask[:, n]].max() for n in range(const.q)],
+            ])
+            np.testing.assert_array_equal(brute_force_maxlog(obs, const, llrs), expected)
+        assert negative_zeros > 0
 
 
 class TestPairMetricTable:

@@ -28,7 +28,7 @@ from sisodet.simcli import (
     sigma2_from_snr_db,
     tone_rng,
 )
-from helpers import build_regions_walk
+from helpers import build_regions_walk, count_cholesky
 
 
 def small_config(**overrides) -> SimConfig:
@@ -700,6 +700,26 @@ class TestSnrRange:
         config.write_text(f"snr_db = {snr}\n")
         assert main(["simulate", "--tones", "2", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: snr_db (--snr-db)")
+
+
+class TestNoiseModelPerSnr:
+    """The covariance depends on the SNR alone, so a sweep factors each
+    distinct SNR's covariance and precision once, whatever the mu list
+    and the tone count."""
+
+    @pytest.mark.parametrize(
+        "snrs, distinct",
+        [((0.0,), 1), ((0.0, 10.0, 20.0), 3), ((10.0, 10.0, -100.0), 2), ((5.0, 5.0), 1)],
+        ids=["one", "three", "duplicate", "only-duplicates"],
+    )
+    @pytest.mark.parametrize("tones, mus", [(1, (0.0,)), (4, (0.0, 2.0, 8.0))])
+    def test_two_factorizations_per_distinct_snr(self, snrs, distinct, tones, mus, monkeypatch):
+        calls = count_cholesky(monkeypatch)
+        status, records, _ = run_simulate(
+            small_config(M=16, n_rx=3, snr_db_list=snrs, mu_list=mus, tones=tones, rho=0.5)
+        )
+        assert status == 0 and len(records) == len(snrs) * len(mus)
+        assert len(calls) == 2 * distinct
 
 
 def parse_points(report: str) -> list[dict]:

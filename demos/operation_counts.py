@@ -8,21 +8,12 @@ then confirms the model against counters measured on real detections.
 import numpy as np
 
 from sisodet import build_constellation, clamp, detect, predicted_counts
-from sisodet.simcli import draw_tone
+from sisodet.simcli import draw_tone, run_complexity
 
 N_RX = 2
 
-print(f"predicted per-tone counts, N_r = {N_RX}")
-header = f"{'M':>4} {'detector':<10}{'metrics':>10}{'real muls':>12}{'real adds':>12}"
-print(header)
-print("-" * len(header))
-for M in (4, 16, 64, 256):
-    for kind in ("proposed", "tlord", "brute"):
-        est = predicted_counts(kind, M, N_RX)
-        print(
-            f"{M:>4} {est.detector_kind:<10}{est.metrics:>10}"
-            f"{est.real_muls:>12}{est.real_adds:>12}"
-        )
+# The table `sisodet complexity` prints.
+print(run_complexity((4, 16, 64, 256), N_RX)[1])
 
 # Measured counters on live tones.  Without strong feedback the total hits
 # the model ceiling exactly; strong one-sided feedback prunes amplitudes
@@ -33,7 +24,7 @@ ceiling = predicted_counts("proposed", M, N_RX).metrics
 tone = draw_tone(np.random.default_rng(5), const, np.eye(N_RX) * 0.25, mu=0.0)
 
 plain = detect(tone.obs, const, tone.llrs).total_metric_count
-print(f"\nmeasured, M={M}, no feedback:")
+print(f"measured, M={M}, no feedback:")
 print(f"  total {plain} vs ceiling {ceiling} (slack {ceiling - plain})")
 
 strong = detect(

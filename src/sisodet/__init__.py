@@ -8,7 +8,7 @@ and a Monte-Carlo CLI harness round out the package.  The exported names
 are what a receiver needs, plus the exhaustive max-log search the CLI
 gates on.  The stage functions ``detect`` is built from are imported from
 their own modules (``sisodet.slicer``, ``sisodet.priors``,
-``sisodet.detector``, ``sisodet.numerics``), and every other reference
+``sisodet.detector``, ``sisodet.channel``), and every other reference
 the tests compare against lives in ``sisodet.oracle``.
 """
 

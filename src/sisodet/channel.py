@@ -6,12 +6,13 @@ QAM symbols, and ``n`` zero-mean complex Gaussian noise with covariance
 ``C``.  The detector consumes only whitened quantities, where the
 noise-precision-weighted norm becomes a plain Euclidean norm.
 
-A ``NoiseModel`` holds what one covariance costs to prepare: its Cholesky
-factor (for drawing noise), its precision and, from the first whitening
-on, the precision's whitener.  Every function that takes a noise
-covariance also takes a model, so a caller whose tones share a covariance
-builds the model once and passes it; an array is turned into a model on
-each call.
+A ``NoiseModel`` holds what one covariance costs to prepare, all built
+when the model is: the covariance, its Cholesky factor (for drawing
+noise) and the whitener of its precision.  Every function that takes a
+noise covariance also takes a model, so a caller whose tones share a
+covariance builds the model once and passes it; an array is turned into
+a model on each call.  ``cholesky_factor`` is the checked factorization
+behind both the factor and the whitener.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-
-from .numerics import cholesky_factor
+from numpy.linalg import LinAlgError
 
 DEGENERATE_GAIN = 1e-14
 # Largest norm bound ``|y| + 2 (|h1| + |h2|)`` a whitened observation may
@@ -34,48 +33,109 @@ DEGENERATE_GAIN = 1e-14
 MAX_NORM_BOUND = math.sqrt(np.finfo(float).max) / 2.0
 
 
+def cholesky_factor(Q) -> np.ndarray:
+    """Lower-triangular G with G @ G.conj().T == Q.
+
+    One scalar pass over ``Q.tolist()``: the finiteness and Hermitian
+    checks, then the factor column by column.  At receiver scale (a few
+    antennas) per-entry Python arithmetic is cheaper than one numpy call
+    per row operation.
+
+    Raises:
+        ValueError: If Q is not square, has a non-finite entry, or is not
+            Hermitian to within 1e-10 of its largest entry magnitude.
+        LinAlgError: If Q is not positive definite; the message names the
+            first non-positive pivot.
+    """
+    Q = np.asarray(Q, dtype=complex)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {Q.shape}")
+    n = Q.shape[0]
+    rows = Q.tolist()
+    scale = 0.0
+    for row in rows:
+        for z in row:
+            if not cmath.isfinite(z):
+                raise ValueError("matrix contains non-finite values")
+            scale = max(scale, abs(z))
+    # The tolerance is relative to the largest entry, so that a small
+    # matrix (a high-SNR noise covariance is about 1e-12) is held to the
+    # same standard as a unit one.  |Q[i][j] - conj(Q[j][i])| is symmetric
+    # in (i, j): the lower triangle with the diagonal covers every entry.
+    tol = 1e-10 * scale
+    for i, row in enumerate(rows):
+        for j in range(i + 1):
+            if abs(row[j] - rows[j][i].conjugate()) > tol:
+                raise ValueError("matrix is not Hermitian")
+
+    G = [[0j] * n for _ in range(n)]
+    for j, Gj in enumerate(G):
+        energy = 0.0
+        for g in Gj[:j]:
+            # numpy's complex modulus, not abs(): the two differ in the
+            # last bit, and the factor keeps numpy's rounding.
+            a = float(np.absolute(g))
+            energy += a * a
+        pivot = rows[j][j].real - energy
+        if not pivot > 0.0:
+            raise LinAlgError(
+                f"matrix is not positive definite: pivot {j} is {pivot:.3e}"
+            )
+        d = math.sqrt(pivot)
+        Gj[j] = complex(d)
+        inv_d = 1.0 / d
+        for i in range(j + 1, n):
+            Gi = G[i]
+            dot = 0j
+            for k in range(j):
+                dot += Gi[k] * Gj[k].conjugate()
+            Gi[j] = (rows[i][j] - dot) * inv_d
+    return np.array(G, dtype=complex).reshape(n, n)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """A noise covariance with the factorizations the channel model needs.
 
-    Construction copies and checks the covariance, factors it and inverts
-    it; the whitener is factored from the precision on first use and kept.
-    A model shared by many tones thus factors its covariance once and its
-    precision once, and every array it holds is read-only.
+    Construction copies and checks the covariance, factors it, and factors
+    its precision into the whitener.  A model shared by many tones thus
+    factors its covariance once and its precision once, and every array it
+    holds is read-only.
 
     Attributes:
         covariance: ``(N_r, N_r)`` Hermitian positive definite covariance
             ``C``.
         factor: Lower-triangular ``G`` with ``G G^H = C``, which
             ``generate_noise`` colours its draws with.
-        precision: ``C^-1``, made exactly Hermitian.
+        whitener: ``F^H`` for the Cholesky factor ``F`` of the precision
+            ``C^-1``, made exactly Hermitian: it turns the
+            precision-weighted norm into the Euclidean one.
 
     Raises:
-        ValueError: If the covariance is not square, finite and Hermitian.
+        ValueError: If the covariance is not square, finite and Hermitian,
+            or so close to singular that its precision is not finite.
         LinAlgError: If it is not positive definite; the message names the
             first non-positive pivot.
     """
 
     covariance: np.ndarray
     factor: np.ndarray = field(init=False, repr=False)
-    precision: np.ndarray = field(init=False, repr=False)
+    whitener: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         C = np.array(self.covariance, dtype=complex)
         G = cholesky_factor(C)
         Q = np.linalg.inv(C)
         Q = 0.5 * (Q + Q.conj().T)
-        for name, arr in (("covariance", C), ("factor", G), ("precision", Q)):
+        if not all(map(cmath.isfinite, Q.ravel().tolist())):
+            raise ValueError(
+                "noise precision is not finite: the noise covariance is too "
+                "close to singular to invert"
+            )
+        FH = cholesky_factor(Q).conj().T
+        for name, arr in (("covariance", C), ("factor", G), ("whitener", FH)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @cached_property
-    def whitener(self) -> np.ndarray:
-        """``F^H`` for the Cholesky factor ``F`` of the precision: it turns
-        the precision-weighted norm into the Euclidean one."""
-        GH = cholesky_factor(self.precision).conj().T
-        GH.setflags(write=False)
-        return GH
 
 
 def noise_model(noise) -> NoiseModel:
@@ -95,11 +155,6 @@ class ChannelRealization:
 
     effective_channel: np.ndarray
     noise: NoiseModel
-
-    @property
-    def noise_precision(self) -> np.ndarray:
-        """Inverse of the noise covariance (Hermitian PD)."""
-        return self.noise.precision
 
 
 @dataclass(frozen=True)
@@ -164,15 +219,14 @@ def make_channel(channel, noise) -> ChannelRealization:
 
     The channel is copied, so changing the caller's array afterwards
     leaves the realization alone.  ``noise`` is a ``NoiseModel``, reused as
-    it is, or a covariance, which is modelled here: factored once, which
-    checks it, and inverted.  Whitening factors the precision on the
-    model's first use, so a tone built from an array costs two
-    factorizations, and one built from a model already used costs none.
+    it is, or a covariance, which is modelled here: factored, which checks
+    it, and its precision factored into the whitener.  A tone built from an
+    array thus costs two factorizations, and one built from a model none.
 
     Raises:
         ValueError: If the channel is not ``(N_r, 2)`` or has a non-finite
             entry, or the covariance is not ``(N_r, N_r)``, finite and
-            Hermitian.
+            Hermitian, or its precision is not finite.
         LinAlgError: If the covariance is not positive definite.
     """
     H = np.array(channel, dtype=complex, order="C")  # a mat-vec rounds per memory layout
@@ -214,8 +268,7 @@ def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
 
     With ``G G^H`` equal to the noise precision, multiplying by ``G^H``
     turns the precision-weighted residual norm into a Euclidean one.
-    ``G^H`` is the noise model's whitener, factored on the model's first
-    whitening and reused by every later tone of the same model.
+    ``G^H`` is the noise model's whitener, so whitening factors nothing.
 
     Raises:
         ValueError: If ``y`` does not have one entry per receive antenna,
@@ -249,10 +302,9 @@ def generate_noise(rng: np.random.Generator, noise) -> np.ndarray:
     """Draw one zero-mean complex Gaussian vector with the given covariance.
 
     ``noise`` is a ``NoiseModel``, whose stored Cholesky factor colours
-    the draw, or a covariance, which is modelled (factored once) for this
-    one draw.
+    the draw, or a covariance, which is factored once for this one draw.
     """
-    G = noise_model(noise).factor
+    G = noise.factor if isinstance(noise, NoiseModel) else cholesky_factor(noise)
     n = G.shape[0]
     w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
     return G @ w

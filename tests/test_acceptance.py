@@ -235,7 +235,7 @@ class TestAcceptance:
                 s = rng.choice(const.symbols, 2)
                 obs = whiten(y, ch)
                 weighted = quadratic_norm(
-                    y - ch.effective_channel @ s, ch.noise_precision
+                    y - ch.effective_channel @ s, Q
                 )
                 plain = float(
                     np.sum(np.abs(obs.y - obs.h1 * s[0] - obs.h2 * s[1]) ** 2)

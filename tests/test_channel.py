@@ -18,8 +18,7 @@ from sisodet import (
     transmit,
     whiten,
 )
-from sisodet.channel import MAX_NORM_BOUND, NoiseModel
-from sisodet.numerics import cholesky_factor
+from sisodet.channel import MAX_NORM_BOUND, NoiseModel, cholesky_factor
 from sisodet.oracle import quadratic_norm
 from sisodet.priors import L_MAX
 from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
@@ -61,7 +60,7 @@ class TestWhiten:
             y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             s = rng.choice(c.symbols, size=2)
             obs = whiten(y, ch)
-            lhs = quadratic_norm(y - ch.effective_channel @ s, ch.noise_precision)
+            lhs = quadratic_norm(y - ch.effective_channel @ s, Q)
             rhs = np.sum(np.abs(obs.y - obs.h1 * s[0] - obs.h2 * s[1]) ** 2)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
@@ -232,18 +231,17 @@ class TestNoiseModel:
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("n_rx", [2, 3, 4])
     def test_reused_model_matches_array_path(self, n_rx, rho, snr_db):
-        """The model holds the covariance's factor, the symmetrized inverse
-        and its whitener exactly as they are computed from the array; one
+        """The model holds the covariance's factor and the whitener of its
+        symmetrized inverse exactly as they are computed from the array; one
         model reused over several tones gives, bit for bit, the channel,
-        precision, whitened tone, noise draws and LLRs that passing the
-        array to each call gives."""
+        whitened tone, noise draws and LLRs that passing the array to each
+        call gives."""
         C = noise_covariance(sigma2_from_snr_db(snr_db), rho, n_rx)
         model = NoiseModel(C)
         Q = np.linalg.inv(C)
         Q = 0.5 * (Q + Q.conj().T)
         np.testing.assert_array_equal(model.covariance, C)
         np.testing.assert_array_equal(model.factor, cholesky_factor(C))
-        np.testing.assert_array_equal(model.precision, Q)
         np.testing.assert_array_equal(model.whitener, cholesky_factor(Q).conj().T)
 
         const = build_constellation(16)
@@ -254,7 +252,6 @@ class TestNoiseModel:
             H = generate_channel(rng, n_rx, 2)
             from_model, from_array = make_channel(H, model), make_channel(H, C)
             np.testing.assert_array_equal(from_model.effective_channel, from_array.effective_channel)
-            np.testing.assert_array_equal(from_model.noise_precision, from_array.noise_precision)
             y = transmit(rng.choice(const.symbols, size=2), from_model, n)
             a, b = whiten(y, from_model), whiten(y, from_array)
             for part in ("y", "h1", "h2"):
@@ -269,7 +266,7 @@ class TestNoiseModel:
         model = NoiseModel(C)
         C[0, 0] = 4.0
         assert model.covariance[0, 0] == 1.0
-        for arr in (model.covariance, model.factor, model.precision, model.whitener):
+        for arr in (model.covariance, model.factor, model.whitener):
             assert not arr.flags.writeable
 
     @pytest.mark.parametrize(
@@ -279,8 +276,9 @@ class TestNoiseModel:
             (np.array([[1.0, 0.5], [0.0, 1.0]]), ValueError, "not Hermitian"),
             (np.array([[1.0, 2.0], [2.0, 1.0]]), LinAlgError, r"pivot 1 is -3\.000e\+00"),
             (np.ones((2, 3)), ValueError, r"square matrix, got shape \(2, 3\)"),
+            (np.diag([1e-310, 1.0]), ValueError, "noise precision is not finite"),
         ],
-        ids=["non-finite", "non-Hermitian", "not-PD", "non-square"],
+        ids=["non-finite", "non-Hermitian", "not-PD", "non-square", "singular-precision"],
     )
     def test_named_errors(self, C, error, match):
         with pytest.raises(error, match=match):
@@ -291,9 +289,11 @@ class TestNoiseModel:
             make_channel(np.eye(2, dtype=complex), NoiseModel(np.eye(3)))
 
     def test_receiver_tone_factors_twice(self, monkeypatch):
-        """make_channel factors the covariance and whiten the precision."""
+        """make_channel factors the covariance and the precision; whiten
+        factors nothing."""
         calls = count_cholesky(monkeypatch)
         ch = make_channel(np.eye(2, dtype=complex), 0.5 * np.eye(2))
+        assert len(calls) == 2
         whiten(np.ones(2), ch)
         assert len(calls) == 2
 
@@ -301,6 +301,18 @@ class TestNoiseModel:
         calls = count_cholesky(monkeypatch)
         generate_noise(np.random.default_rng(0), np.eye(2))
         assert len(calls) == 1
+
+    def test_array_noise_draw_needs_no_precision(self, monkeypatch):
+        """A covariance that factors but whose inverse overflows cannot
+        make a model, yet a noise draw from it, which needs only its
+        factor, still succeeds with one factorization."""
+        C = np.diag([1e-310, 1.0])
+        with pytest.raises(ValueError, match="noise precision is not finite"):
+            make_channel(np.eye(2, dtype=complex), C)
+        calls = count_cholesky(monkeypatch)
+        n = generate_noise(np.random.default_rng(0), C)
+        assert len(calls) == 1
+        assert np.isfinite(n).all() and abs(n[0]) < 1e-150
 
     def test_reused_model_factors_twice_in_all(self, monkeypatch):
         """Tones sharing a model share its two factorizations."""
@@ -422,7 +434,8 @@ class TestMakeChannel:
         rng = np.random.default_rng(13)
         C = random_hermitian_pd(rng, 2)
         ch = make_channel(generate_channel(rng, 2, 2), C)
-        np.testing.assert_allclose(ch.noise_precision @ C, np.eye(2), atol=1e-10)
+        W = ch.noise.whitener
+        np.testing.assert_allclose(W.conj().T @ W @ C, np.eye(2), atol=1e-10)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])
     def test_non_finite_channel_named(self, value):

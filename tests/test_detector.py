@@ -104,7 +104,7 @@ class TestCandidateMetric:
         rng = np.random.default_rng(45)
         const = build_constellation(16)
         for _ in range(20):
-            obs, llrs, _, ch, y, _ = random_tone(rng, const, rho=0.5, mu=4.0)
+            obs, llrs, _, ch, y, C = random_tone(rng, const, rho=0.5, mu=4.0)
             i, j = rng.integers(0, const.M, 2)
             eta = pair_metric_table(obs, const, llrs)[i, j]
             prior = (
@@ -112,7 +112,7 @@ class TestCandidateMetric:
                 + const.labels[j].astype(float) @ llrs.values[1]
             )
             residual = y - ch.effective_channel @ const.symbols[[i, j]]
-            expected = prior - quadratic_norm(residual, ch.noise_precision)
+            expected = prior - quadratic_norm(residual, np.linalg.inv(C))
             np.testing.assert_allclose(eta, expected, atol=1e-10)
 
 

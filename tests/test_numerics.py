@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from sisodet.numerics import cholesky_factor
+from sisodet.channel import cholesky_factor
 from sisodet.oracle import quadratic_norm
 from helpers import random_hermitian_pd
 

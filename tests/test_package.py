@@ -91,7 +91,7 @@ STAGES = {
     "DecisionRegions": "sisodet.slicer",
     "axis_log_priors": "sisodet.priors",
     "build_regions": "sisodet.slicer",
-    "cholesky_factor": "sisodet.numerics",
+    "cholesky_factor": "sisodet.channel",
     "llrs_from_metrics": "sisodet.detector",
     "slice_statistic": "sisodet.slicer",
 }

@@ -111,6 +111,16 @@ class Constellation:
         rows = np.concatenate((self.bit_mask, ~self.bit_mask), axis=1).T
         return _frozen(rows.nonzero()[1].reshape(2 * self.q, self.M // 2))
 
+    @cached_property
+    def symbol_index(self) -> np.ndarray:
+        """``(L, L)`` symbol indices: ``[a, b]`` is the index of the symbol
+        with real amplitude ``points[a]`` and imaginary amplitude
+        ``points[b]``, the two axis Gray labels read as the high and low
+        halves of its label."""
+        half_q = self.q // 2
+        code = self.real_axis.labels @ (1 << np.arange(half_q - 1, -1, -1))
+        return _frozen((code[:, None] << half_q) | code[None, :])
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False

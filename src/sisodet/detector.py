@@ -13,6 +13,10 @@ is one stacked call per tone: ``tone_regions`` builds the four tables
 (one ``PamAxis`` serves the real and the imaginary part) with one
 ``axis_log_priors`` and one ``build_regions`` call, one ``slice_statistic``
 call slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
+Each candidate metric adds the two symbols' ``symbol_log_priors``, the
+oracle's own priors, and subtracts a residual energy rounded as the
+oracle's is, so it is the oracle's pair metric for that pair, float for
+float.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
-from .priors import AprioriLLRs, axis_log_priors
+from .priors import AprioriLLRs, axis_log_priors, symbol_log_priors
 from .slicer import build_regions, slice_statistic
 
 
@@ -63,8 +67,8 @@ def llrs_from_metrics(metrics, split_index) -> np.ndarray:
     return best[..., :q] - best[..., q:]
 
 
-# Row index of each of a tone's four tables, for gathering per table.
-_TABLE_ROWS = np.arange(4)[:, None]
+# Row index of each layer, for gathering per layer.
+_LAYER_ROWS = np.arange(2)[:, None]
 
 
 def tone_regions(obs: WhitenedObservation, pam: PamAxis, llrs: AprioriLLRs):
@@ -90,8 +94,8 @@ def detect(
     evaluated.  Per-bit LLRs are max-differences over the enumerated
     labels.  The result matches the exhaustive pairwise max-log search.
     """
-    pam = c.real_axis
-    logp, _, regions = tone_regions(obs, pam, llrs)
+    _, _, regions = tone_regions(obs, c.real_axis, llrs)
+    prior = symbol_log_priors(llrs, c)
 
     syms = c.symbols
     y, h1, h2 = obs.y, obs.h1, obs.h2
@@ -104,21 +108,20 @@ def detect(
     z_from_1 = (h2_y - h2_h1 * syms) / obs.gain2
     z_from_2 = (h1_y - h1_h2 * syms) / obs.gain1
 
-    # Best partner amplitudes, one row per table, then the candidate pairs:
-    # row 0 enumerates layer 1 against its sliced layer-2 partner, row 1 the
-    # reverse.  x1 holds each candidate's layer-1 symbol, x2 its layer-2.
+    # Best partner amplitudes, one row per table, and the partner symbols'
+    # indices: row 0 holds the layer-1 partners (tables 0 and 1), row 1 the
+    # layer-2 ones.  Row 0 of the candidate pairs enumerates layer 1 against
+    # its sliced layer-2 partner, row 1 the reverse.  x1 holds each
+    # candidate's layer-1 symbol, x2 its layer-2.
     owner = slice_statistic(
         regions, np.array([z_from_2.real, z_from_2.imag, z_from_1.real, z_from_1.imag])
     )
-    partner = pam.points[owner]
+    partner = c.symbol_index[owner[0::2], owner[1::2]]
     x1 = np.empty((2, c.M), dtype=complex)
     x2 = np.empty((2, c.M), dtype=complex)
     x1[0] = syms
     x2[1] = syms
-    x1.real[1] = partner[0]
-    x1.imag[1] = partner[1]
-    x2.real[0] = partner[2]
-    x2.imag[0] = partner[3]
+    x1[1], x2[0] = syms[partner]
     # Antenna axis first and each product written symbol * signature, as in
     # the oracle's block kernel oracle._pair_metric_blocks: numpy can round
     # h * x and x * h differently, and the LLRs match the oracle exactly at
@@ -127,10 +130,8 @@ def detect(
     energy = (np.abs(r) ** 2).sum(axis=0)
 
     # Candidate metrics: enumerated prior, plus the partner's prior (the other
-    # layer's two axis log-priors, hence the reversal), minus the residual energy.
-    partner_logp = logp[_TABLE_ROWS, owner]
-    enum_prior = np.array([c.bit_weights.dot(llrs.values[0]), c.bit_weights.dot(llrs.values[1])])
-    eta = enum_prior + (partner_logp[0::2] + partner_logp[1::2])[::-1] - energy
+    # layer's, hence the reversal), minus the residual energy.
+    eta = prior + prior[_LAYER_ROWS, partner][::-1] - energy
     boundary_count = regions.boundary_count
     return DetectionResult(
         llrs=llrs_from_metrics(eta, c.split_bit_index),

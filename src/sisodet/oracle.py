@@ -9,6 +9,8 @@ with the fast detector but none of its slicing or projection machinery,
 which is what makes agreement between the two paths meaningful.  Every
 joint metric, the per-pair reference ``pair_metric_table`` included,
 comes from the one pair-metric expression in ``_pair_metric_blocks``.
+Its symbol priors are ``priors.symbol_log_priors``, which ``detect``
+adds too: they belong to the labelling, not to the slicing.
 The per-candidate references evaluate one projected residual, one
 slicing threshold or one slicing decision by its defining formula.
 """
@@ -19,7 +21,7 @@ import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
-from .priors import AprioriLLRs, check_llr_shape, finite_log_priors
+from .priors import AprioriLLRs, finite_log_priors, symbol_log_priors
 
 
 # Bytes of complex residual one block of the pair-metric table may hold.
@@ -39,9 +41,7 @@ def _pair_metric_blocks(obs: WhitenedObservation, c: Constellation, llrs: Aprior
     whatever the block height, so the blocks are bit-identical to slices
     of the whole table.
     """
-    check_llr_shape(llrs, c.real_axis)
-    prior1 = c.bit_weights @ llrs.values[0]
-    prior2 = c.bit_weights @ llrs.values[1]
+    prior1, prior2 = symbol_log_priors(llrs, c)
     # Each product written symbol * signature (see detector.detect), both
     # formed once for all blocks.
     partial = obs.y[:, None, None] - c.symbols[None, :, None] * obs.h1[:, None, None]

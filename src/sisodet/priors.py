@@ -5,9 +5,12 @@ The decoder-side information enters as one LLR per code bit,
 slicing, the LLRs of the bits addressing one PAM axis collapse into one
 unnormalized log-prior per amplitude: ``logp[k] = sum_n b[n,k] * llr[n]``.
 The two axes of a square constellation are one ``PamAxis``, so one call
-gives all four tables of a tone (two layers times two axes).  Only
-differences of these values ever matter, so the normalization constant
-is never computed.
+gives all four tables of a tone (two layers times two axes).  For
+scoring, ``symbol_log_priors`` gives each symbol's log-prior from its
+whole label, the one expression both ``detect`` and the exhaustive
+search in ``sisodet.oracle`` add to a pair metric, so the two round
+every prior alike.  Only differences of these values ever matter, so the
+normalization constant is never computed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import PamAxis
+from .constellation import Constellation, PamAxis
 
 # Bound on every LLR magnitude: it keeps the slicing thresholds finite.
 L_MAX = 50.0
@@ -77,8 +80,9 @@ def axis_log_priors(llrs: AprioriLLRs, pam: PamAxis) -> np.ndarray:
     amplitude log-priors per table, in the order the LLR bits come in,
     layer 1 real, layer 1 imag, layer 2 real, layer 2 imag.  Bits
     ``0 .. q/2-1`` of a layer address its real axis, bits ``q/2 .. q-1``
-    its imaginary axis, and one ``PamAxis`` serves both.  Each row is its
-    own ``bit_weights.dot``, which rounds as the one-axis product does.
+    its imaginary axis, and one ``PamAxis`` serves both.  The rows come
+    from one stacked product of ``(1, q/2)`` rows, which rounds each row
+    as its own one-axis ``bit_weights.dot`` does.
 
     Raises:
         ValueError: From ``check_llr_shape``, unless each LLR row is twice
@@ -86,9 +90,25 @@ def axis_log_priors(llrs: AprioriLLRs, pam: PamAxis) -> np.ndarray:
     """
     check_llr_shape(llrs, pam)
     half_q = pam.labels.shape[1]
-    logp = np.array([pam.bit_weights.dot(bits) for bits in llrs.values.reshape(4, half_q)])
+    logp = np.matmul(llrs.values.reshape(4, 1, half_q), pam.bit_weights.T).reshape(4, pam.L)
     logp.flags.writeable = False
     return logp
+
+
+def symbol_log_priors(llrs: AprioriLLRs, c: Constellation) -> np.ndarray:
+    """A tone's ``(2, M)`` symbol log-priors: row l is ``c.bit_weights @
+    llrs.values[l]``, the unnormalized log-prior of every symbol of layer l.
+
+    The rows come from one stacked product of ``(1, q)`` rows, which rounds
+    each row as its own product does; the 2-D ``llrs.values @
+    c.bit_weights.T`` rounds differently and must not replace it.
+
+    Raises:
+        ValueError: From ``check_llr_shape``, unless the LLR rows are
+            ``q`` wide.
+    """
+    check_llr_shape(llrs, c.real_axis)
+    return np.matmul(llrs.values.reshape(2, 1, c.q), c.bit_weights.T).reshape(2, c.M)
 
 
 def finite_log_priors(logp) -> np.ndarray:

@@ -80,6 +80,20 @@ class TestConstellation:
         assert not split.flags.writeable
 
     @pytest.mark.parametrize("M", ALL_ORDERS)
+    def test_symbol_index_inverts_axis_pairs(self, M):
+        """``symbol_index[a, b]`` indexes the symbol whose bytes are those of
+        ``points[a] + 1j*points[b]``; every symbol appears exactly once, and
+        the table is read-only."""
+        c = build_constellation(M)
+        table = c.symbol_index
+        L = c.real_axis.L
+        points = c.real_axis.points
+        assert table.shape == (L, L)
+        assert sorted(table.ravel().tolist()) == list(range(M))
+        assert c.symbols[table].tobytes() == (points[:, None] + 1j * points[None, :]).tobytes()
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("M", ALL_ORDERS)
     def test_axis_separability(self, M):
         """Real/imag parts decode independently from the two bit halves."""
         c = build_constellation(M)

@@ -1,6 +1,7 @@
 """Tests for the linear-complexity detector against direct computation."""
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -24,6 +25,7 @@ from sisodet.channel import WhitenedObservation
 from sisodet.constellation import VALID_ORDERS
 from sisodet.detector import llrs_from_metrics
 from sisodet.oracle import pair_metric_table, quadratic_norm, residual_statistic
+from sisodet.priors import L_MAX
 from sisodet.slicer import DecisionRegions, build_regions, slice_statistic
 from helpers import build_regions_walk, random_tone, table_rows
 
@@ -232,6 +234,68 @@ class TestDetect:
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("M", VALID_ORDERS)
+    def test_bit_identical_to_oracle(self, M):
+        """Seeded battery: LLRs equal the exhaustive search's bit for bit.
+
+        Both add the same ``symbol_log_priors`` and subtract the same rounded
+        residual energy, so every candidate metric is the oracle's pair
+        metric for that pair.  Two and four antennas, rho 0 and 0.9,
+        -100 to 300 dB, and mu = 200 drives LLRs into the +-L_MAX clamp.
+        """
+        const = build_constellation(M)
+        grid = itertools.product(
+            (2, 4), (0.0, 0.9), (-100.0, 0.0, 10.0, 20.0, 120.0, 300.0), (0.0, 4.0, 16.0, 200.0)
+        )
+        clamped = 0
+        for i, (n_rx, rho, snr, mu) in enumerate(grid):
+            for t in range(6):
+                rng = np.random.default_rng([63, M, i, t])
+                obs, llrs, _, _, _, _ = random_tone(
+                    rng, const, n_rx=n_rx, snr_db=snr, rho=rho, mu=mu
+                )
+                got = detect(obs, const, llrs).llrs
+                assert got.tobytes() == brute_force_maxlog(obs, const, llrs).tobytes(), (
+                    n_rx, rho, snr, mu, t
+                )
+                clamped += bool(np.any(np.abs(llrs.values) == L_MAX))
+        assert clamped > 0
+
+    @pytest.mark.parametrize("M", VALID_ORDERS)
+    def test_tie_battery_within_gate(self, M):
+        """Tie-prone tones within the 1e-6 gate of the exhaustive search.
+
+        Small-integer signatures, observations on the half-spacing grid and
+        integer LLRs, every third tone with half of them at the clamp, make
+        exactly tied pair metrics likely.  At a tie the slicer's owner and the
+        float argmax of the exhaustive search can differ by a rounding, so bit
+        equality is not asserted; the count of unequal tones is printed.
+        """
+        const = build_constellation(M)
+        unequal, worst = 0, 0.0
+        for t in range(200):
+            rng = np.random.default_rng([64, M, t])
+            n_rx = (2, 4)[t % 2]
+            h1 = h2 = np.zeros(n_rx)
+            while not (h1.any() and h2.any()):
+                h1, h2 = rng.integers(-2, 3, (2, n_rx, 2)) @ np.array([1.0, 1j])
+            s1, s2 = const.symbols[rng.integers(0, M, 2)]
+            offset = rng.integers(-1, 2, (n_rx, 2)) @ np.array([1.0, 1j])
+            obs = WhitenedObservation(
+                y=h1 * s1 + h2 * s2 + offset * const.real_axis.spacing / 2, h1=h1, h2=h2
+            )
+            values = rng.integers(-3, 4, (2, const.q)).astype(float)
+            if t % 3 == 0:
+                values[rng.random((2, const.q)) < 0.5] = L_MAX * rng.choice((-1.0, 1.0))
+            llrs = clamp(values)
+            got = detect(obs, const, llrs).llrs
+            reference = brute_force_maxlog(obs, const, llrs)
+            gap = float(np.max(np.abs(got - reference)))
+            assert gap <= 1e-6, (t, gap)
+            unequal += got.tobytes() != reference.tobytes()
+            worst = max(worst, gap)
+        print(f"M={M}: {unequal} of 200 tie-prone tones not bit-equal, worst {worst:.3e}")
+
+    @pytest.mark.parametrize("M", VALID_ORDERS)
     def test_exact_at_very_high_snr(self, M):
         """Within the 1e-6 gate of the exhaustive search at 120-300 dB.
 
@@ -399,8 +463,8 @@ class TestDetect:
         const = build_constellation(64)
         detect(obs, const, llrs)
         axis = const.real_axis
-        tables = (const.bit_weights, const.bit_mask, const.split_bit_index, axis.bit_weights,
-                  axis.pair_midpoints, axis.pair_gaps, axis.below)
+        tables = (const.bit_weights, const.bit_mask, const.split_bit_index, const.symbol_index,
+                  axis.bit_weights, axis.pair_midpoints, axis.pair_gaps, axis.below)
         refs = [weakref.ref(table) for table in tables]
         del const, axis, tables
         gc.collect()

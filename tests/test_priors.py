@@ -14,7 +14,7 @@ from sisodet import (
     genie_priors,
     uniform_priors,
 )
-from sisodet.priors import axis_log_priors
+from sisodet.priors import axis_log_priors, symbol_log_priors
 from sisodet.slicer import build_regions, slice_statistic, upper_bounds
 
 finite_llr = st.floats(min_value=-49.0, max_value=49.0)
@@ -182,6 +182,30 @@ class TestAxisLogPriors:
                     np.where(pam.labels.astype(bool), p_one, 1 - p_one), axis=1
                 )
                 np.testing.assert_allclose(probs, expected, atol=1e-12)
+
+
+class TestSymbolLogPriors:
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_rows_bit_identical_to_label_product(self, M):
+        """Row l is bit for bit ``c.bit_weights @ llrs.values[l]``, the
+        product the oracle's pair metrics were defined with."""
+        c = build_constellation(M)
+        rng = np.random.default_rng([14, M])
+        for i in range(300):
+            # every third draw puts most LLRs beyond the clamp, at +-l_max
+            spread = 150.0 if i % 3 == 0 else 6.0
+            llrs = clamp(rng.normal(0.0, spread, (2, c.q)))
+            out = symbol_log_priors(llrs, c)
+            assert out.shape == (2, M)
+            for l in range(2):
+                assert out[l].tobytes() == (c.bit_weights @ llrs.values[l]).tobytes(), (i, l)
+
+    @pytest.mark.parametrize("width", [2, 5, 6, 8])
+    def test_llr_width_mismatch_named(self, width):
+        """Rows of another width fail naming both widths."""
+        c = build_constellation(16)
+        with pytest.raises(ValueError, match=rf"shape \(2, 4\) for 16-QAM, got \(2, {width}\)"):
+            symbol_log_priors(clamp(np.zeros((2, width))), c)
 
 
 class TestGeniePriors:

@@ -210,7 +210,7 @@ class TestMainCli:
         argv = ["simulate", "--M", "16", "--tones", "20", "--snr-db", "0,10", "--mu", "0,4", "--rho", "0.5"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        digest = "bf171f3ea4e97f1f5a1a451f6ccef92b1c1378ef56ddee31a1dd900a61fdbc8d"
+        digest = "cd3525c9a0c1530630c34acddd1d5412adf1123b1acbc9ebc05255569b898d2d"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_transmit_antenna_flag_gone(self, capsys):

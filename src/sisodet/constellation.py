@@ -5,7 +5,7 @@ A square constellation of order ``M`` factors into two identical
 serves both the real and the imaginary part.  The first half of a
 symbol's bit label addresses the real axis, the second half the imaginary
 axis.  Everything downstream (per-axis priors, slicing, detection) relies
-on this split.
+on this split; ``Constellation.split_bit_index`` selects each bit's symbols.
 """
 
 from __future__ import annotations
@@ -95,20 +95,17 @@ class Constellation:
         return _frozen(self.labels.astype(float))
 
     @cached_property
-    def bit_mask(self) -> np.ndarray:
-        """``labels`` as booleans, selecting the symbols with each bit set."""
-        return _frozen(self.labels.astype(bool))
-
-    @cached_property
     def split_bit_index(self) -> np.ndarray:
         """``(2q, M/2)`` symbol indices: row n lists the symbols with bit n
         set, row q + n those with it clear, each in ascending order.
 
-        Every bit is set on exactly half of the labels, so the rows have
-        equal length and a per-bit maximum is one gather and one reduction
-        along contiguous rows.
+        This is the package's one selection of the symbols that carry each
+        bit.  Every bit is set on exactly half of the labels, so the rows
+        have equal length and a per-bit maximum is one gather and one
+        reduction along contiguous rows.
         """
-        rows = np.concatenate((self.bit_mask, ~self.bit_mask), axis=1).T
+        bit_set = self.labels.T == 1
+        rows = np.concatenate((bit_set, ~bit_set))
         return _frozen(rows.nonzero()[1].reshape(2 * self.q, self.M // 2))
 
     @cached_property

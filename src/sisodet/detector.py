@@ -9,10 +9,10 @@ reused across the whole enumeration, so the total work is linear in the
 constellation size M (2M candidate metrics plus at most 2(M - sqrt(M))
 slicing thresholds) instead of the M**2 of a joint search, while the
 output bit LLRs match the exhaustive max-log search exactly.  Each stage
-is one stacked call per tone: ``tone_regions`` builds the four tables
-(one ``PamAxis`` serves the real and the imaginary part) with one
-``axis_log_priors`` and one ``build_regions`` call, one ``slice_statistic``
-call slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
+is one stacked call per tone: ``table_inputs`` gives the four tables'
+log-priors (one ``axis_log_priors`` call) and gains, from which one
+``build_regions`` call builds the tables, one ``slice_statistic`` call
+slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
 Each candidate metric adds the two symbols' ``symbol_log_priors``, the
 oracle's own priors, and subtracts a residual energy rounded as the
 oracle's is, so it is the oracle's pair metric for that pair, float for
@@ -71,15 +71,14 @@ def llrs_from_metrics(metrics, split_index) -> np.ndarray:
 _LAYER_ROWS = np.arange(2)[:, None]
 
 
-def tone_regions(obs: WhitenedObservation, pam: PamAxis, llrs: AprioriLLRs):
-    """A tone's ``(4, L)`` log-priors, its four gains and its four stacked tables.
+def table_inputs(obs: WhitenedObservation, pam: PamAxis, llrs: AprioriLLRs):
+    """A tone's four interval tables' inputs ``(logp, gains)``: the ``(4, L)``
+    axis log-priors and the four slicer gains, in table order.
 
     The tables come in the order of the LLR bits: layer 1 real, layer 1
     imag, layer 2 real, layer 2 imag, each built with its own layer's gain.
     """
-    logp = axis_log_priors(llrs, pam)
-    gains = (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
-    return logp, gains, build_regions(pam, logp, gains)
+    return axis_log_priors(llrs, pam), (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
 
 
 def detect(
@@ -94,7 +93,7 @@ def detect(
     evaluated.  Per-bit LLRs are max-differences over the enumerated
     labels.  The result matches the exhaustive pairwise max-log search.
     """
-    _, _, regions = tone_regions(obs, c.real_axis, llrs)
+    regions = build_regions(c.real_axis, *table_inputs(obs, c.real_axis, llrs))
     prior = symbol_log_priors(llrs, c)
 
     syms = c.symbols

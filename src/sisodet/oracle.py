@@ -5,12 +5,13 @@ None of these runs on the receiver path; the tests, the ``verify`` and
 
 The two exhaustive detectors enumerate all M**2 symbol pairs directly
 from the whitened observation; they share the constellation and labeling
-with the fast detector but none of its slicing or projection machinery,
-which is what makes agreement between the two paths meaningful.  Every
-joint metric, the per-pair reference ``pair_metric_table`` included,
-comes from the one pair-metric expression in ``_pair_metric_blocks``.
-Its symbol priors are ``priors.symbol_log_priors``, which ``detect``
-adds too: they belong to the labelling, not to the slicing.
+(``split_bit_index`` selects each bit's hypotheses in both) with the fast
+detector but none of its slicing or projection machinery, which is what
+makes agreement between the two paths meaningful.  Every joint metric,
+the per-pair reference ``pair_metric_table`` included, comes from the one
+pair-metric expression in ``_pair_metric_blocks``.  Its symbol priors are
+``priors.symbol_log_priors``, which ``detect`` adds too: they belong to
+the labelling, not to the slicing.
 The per-candidate references evaluate one projected residual, one
 slicing threshold or one slicing decision by its defining formula.
 """
@@ -106,22 +107,20 @@ def log_map(
 
     Reference only: the max-log outputs are its limit as the metric
     temperature grows, which ``temperature`` exposes for convergence
-    studies (the scaled form is logsumexp(T * metrics) / T).
+    studies (the scaled form is logsumexp(T * metrics) / T).  Bit n's set
+    and clear hypotheses are the pair table's rows (layer 1) or columns
+    (layer 2) that ``split_bit_index`` rows n and q + n select.
     """
     if not 0 < temperature < np.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
     table = pair_metric_table(obs, c, llrs)
     table *= temperature
-    mask = c.bit_mask
+    index = c.split_bit_index
     out = np.empty((2, c.q))
-    for n in range(c.q):
-        out[0, n] = (
-            _logsumexp(table[mask[:, n], :]) - _logsumexp(table[~mask[:, n], :])
-        ) / temperature
-        out[1, n] = (
-            _logsumexp(table[:, mask[:, n]]) - _logsumexp(table[:, ~mask[:, n]])
-        ) / temperature
-    return out
+    for n, (bit_set, bit_clear) in enumerate(zip(index[: c.q], index[c.q :])):
+        out[0, n] = _logsumexp(table[bit_set]) - _logsumexp(table[bit_clear])
+        out[1, n] = _logsumexp(table[:, bit_set]) - _logsumexp(table[:, bit_clear])
+    return out / temperature
 
 
 def residual_statistic(obs: WhitenedObservation, layer: int, symbol: complex) -> complex:

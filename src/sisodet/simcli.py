@@ -50,10 +50,10 @@ from .channel import (
 )
 from .complexity import DETECTOR_KINDS, predicted_counts
 from .constellation import VALID_ORDERS, Constellation, bits_to_symbol, build_constellation
-from .detector import detect, tone_regions
+from .detector import detect, table_inputs
 from .oracle import brute_force_maxlog
 from .priors import AprioriLLRs, clamp, genie_priors
-from .slicer import upper_bounds
+from .slicer import build_regions, upper_bounds
 
 VERIFY_TOLERANCE = 1e-6
 # Usable SNR range in dB.  From about 3000 dB, far above the top, a
@@ -383,7 +383,8 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
     C = noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx)
     obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0]).obs
     pam = const.real_axis
-    logp, gains, regions = tone_regions(obs, pam, llrs)
+    logp, gains = table_inputs(obs, pam, llrs)
+    regions = build_regions(pam, logp, gains)
     upper = upper_bounds(pam, logp, gains)
 
     lines = [REGIONS_CSV_HEADER]

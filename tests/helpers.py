@@ -64,7 +64,7 @@ def log_map_reference(obs, c, llrs, temperature: float = 1.0) -> np.ndarray:
     """``log_map`` through scipy's ``logsumexp``: the reference for the
     package's numpy-only log-sum-exp."""
     table = temperature * pair_metric_table(obs, c, llrs)
-    mask = c.bit_mask
+    mask = c.labels == 1
     out = np.empty((2, c.q))
     for n in range(c.q):
         out[0, n] = (

@@ -393,6 +393,28 @@ class TestDetect:
         if M > 4:
             assert pruned > 0  # feedback emptied amplitudes on some tones
 
+    @pytest.mark.parametrize("M", [4, 256])
+    def test_one_call_per_stage(self, M, monkeypatch):
+        """One detect call makes exactly one call to each stage function,
+        through the name sisodet.detector imports: the stages are stacked,
+        not called per table or per layer."""
+        const = build_constellation(M)
+        obs, llrs, _, _, _, _ = random_tone(np.random.default_rng([63, M]), const, mu=4.0)
+        stages = ("axis_log_priors", "build_regions", "symbol_log_priors",
+                  "slice_statistic", "llrs_from_metrics")
+        calls = dict.fromkeys(stages, 0)
+
+        def counted(name, stage):
+            def call(*args):
+                calls[name] += 1
+                return stage(*args)
+            return call
+
+        for name in stages:
+            monkeypatch.setattr(detector, name, counted(name, getattr(detector, name)))
+        detect(obs, const, llrs)
+        assert calls == dict.fromkeys(stages, 1)
+
     @pytest.mark.parametrize("M", [4, 16, 64, 256])
     def test_stacked_stages_equal_row_calls(self, M, monkeypatch):
         """Per tone, detect gives the same LLRs and counts bit for bit when
@@ -463,7 +485,7 @@ class TestDetect:
         const = build_constellation(64)
         detect(obs, const, llrs)
         axis = const.real_axis
-        tables = (const.bit_weights, const.bit_mask, const.split_bit_index, const.symbol_index,
+        tables = (const.bit_weights, const.split_bit_index, const.symbol_index,
                   axis.bit_weights, axis.pair_midpoints, axis.pair_gaps, axis.below)
         refs = [weakref.ref(table) for table in tables]
         del const, axis, tables

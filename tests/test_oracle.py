@@ -1,4 +1,4 @@
-"""Tests for the exhaustive max-log and log-sum-exp references."""
+"""Tests for the exhaustive max-log and log-sum-exp references and quadratic_norm."""
 
 import tracemalloc
 
@@ -17,9 +17,15 @@ from sisodet import (
     whiten,
 )
 from sisodet import oracle
-from sisodet.oracle import _logsumexp, log_map, pair_metric_table
+from sisodet.channel import cholesky_factor
+from sisodet.oracle import _logsumexp, log_map, pair_metric_table, quadratic_norm
 from sisodet.priors import L_MAX
-from helpers import log_map_reference, pair_metric_table_reference, random_tone
+from helpers import (
+    log_map_reference,
+    pair_metric_table_reference,
+    random_hermitian_pd,
+    random_tone,
+)
 
 
 class TestBruteForce:
@@ -60,7 +66,7 @@ class TestBruteForce:
         with feedback, and with every prior at the +-L_MAX clamp."""
         rng = np.random.default_rng([65, M])
         const = build_constellation(M)
-        mask = const.bit_mask
+        mask = const.labels == 1
         negative_zeros = 0
         for t in range(12 if M < 256 else 6):
             obs, llrs, _, _, _, _ = random_tone(
@@ -294,3 +300,39 @@ class TestLogMapDifferential:
         assert _logsumexp(a) == 0.5 == logsumexp(a)
         # A naive exp would overflow; log 2 is below one ulp of 1e300.
         assert _logsumexp(np.array([1e300, 1e300])) == 1e300
+
+
+class TestQuadraticNorm:
+    def test_zero_vector(self):
+        assert quadratic_norm(np.zeros(3), np.eye(3)) == 0.0
+
+    def test_identity_weight(self):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        np.testing.assert_allclose(
+            quadratic_norm(x, np.eye(4)), np.sum(np.abs(x) ** 2), rtol=1e-14
+        )
+
+    def test_matches_whitened_norm(self):
+        """x^H Q x equals the plain norm of G^H x, also for forms scaled to
+        1e-12 and 1e-30, as small as a high-SNR noise covariance."""
+        rng = np.random.default_rng(2)
+        for scale in (1.0, 1e-12, 1e-30):
+            for _ in range(50):
+                Q = scale * random_hermitian_pd(rng, 3)
+                x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                G = cholesky_factor(Q)
+                direct = quadratic_norm(x, Q)
+                whitened = np.sum(np.abs(G.conj().T @ x) ** 2)
+                np.testing.assert_allclose(direct, whitened, rtol=1e-10)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            quadratic_norm(np.ones(2), np.eye(3))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-30])
+    def test_non_hermitian_rejected(self, scale):
+        """An imaginary part half the real part is rejected at every scale."""
+        Q = scale * np.array([[1, 0.5j], [0.5j, 1]])
+        with pytest.raises(ValueError, match="imaginary residue"):
+            quadratic_norm([1, 1], Q)

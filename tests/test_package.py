@@ -1,11 +1,13 @@
-"""The runtime needs numpy only: no library or CLI path loads scipy.
+"""The package as a whole: its runtime needs numpy only, its public API,
+its import graph and the test modules named after its modules.
 
-Both checks run in a fresh interpreter, because this test process has
-scipy loaded already (the references in ``helpers`` use it).
+The two scipy checks run in a fresh interpreter, because this test
+process has scipy loaded already (the references in ``helpers`` use it).
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -140,3 +142,13 @@ def test_oracle_imports_no_detector_code():
     for name in imported:
         for forbidden in ("sisodet.slicer", "sisodet.detector"):
             assert name != forbidden and not name.startswith(forbidden + "."), name
+
+
+def test_test_modules_name_package_modules():
+    """Every test module but the acceptance and package suites is named
+    after the sisodet module it tests, so no test file outlives its module."""
+    for path in sorted(Path(__file__).resolve().parent.glob("test_*.py")):
+        if path.name in ("test_acceptance.py", "test_package.py"):
+            continue
+        module = "sisodet." + path.stem[len("test_"):]
+        assert importlib.util.find_spec(module) is not None, path.name

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
-from .priors import AprioriLLRs, axis_log_priors, symbol_log_priors
+from .priors import AprioriLLRs, axis_log_priors, real_array, symbol_log_priors
 from .slicer import build_regions, slice_statistic
 
 
@@ -50,21 +50,20 @@ class DetectionResult:
 def llrs_from_metrics(metrics, split_index) -> np.ndarray:
     """Per-bit LLRs: best metric with the bit set minus best with it clear.
 
-    ``metrics`` holds one metric per symbol on its last axis, for one
-    layer, shape ``(M,)``, or a stack of them, shape ``(T, M)``; the LLRs
-    have the same leading shape and ``q`` entries on the last axis.
-    ``split_index`` is a constellation's ``split_bit_index``: ``(2q, M/2)``
-    symbol indices, the symbols with bit n set in row n and those with it
-    clear in row q + n.  Each best metric is the maximum of one gathered
-    row, so it is exact: the same float a scan over all M symbols finds.
+    ``metrics`` is a real ``(T, M)`` stack, one row of per-symbol metrics
+    per layer; the LLRs are ``(T, q)``.  ``split_index`` is a
+    constellation's ``split_bit_index``: ``(2q, M/2)`` symbol indices, the
+    symbols with bit n set in row n and those with it clear in row q + n.
+    Each best metric is the maximum of one gathered row, so it is exact:
+    the same float a scan over all M symbols finds.
     """
-    metrics = np.asarray(metrics, dtype=float)
+    metrics = real_array(metrics, "metrics")
     index = np.asarray(split_index)
-    if metrics.ndim not in (1, 2) or metrics.shape[-1] != 2 * index.shape[1]:
-        raise ValueError("one metric per labeled symbol required")
+    if metrics.ndim != 2 or metrics.shape[1] != 2 * index.shape[1]:
+        raise ValueError("one metric per labeled symbol required, in a (T, M) stack")
     q = index.shape[0] // 2
-    best = np.maximum.reduce(metrics.take(index, axis=-1), axis=-1)
-    return best[..., :q] - best[..., q:]
+    best = np.maximum.reduce(metrics.take(index, axis=1), axis=2)
+    return best[:, :q] - best[:, q:]
 
 
 # Row index of each layer, for gathering per layer.

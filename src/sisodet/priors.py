@@ -38,10 +38,7 @@ class AprioriLLRs:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values)
-        if np.iscomplexobj(arr):
-            raise ValueError("a-priori LLRs must be real, got complex values")
-        arr = np.array(arr, dtype=float)
+        arr = np.array(real_array(self.values, "a-priori LLRs"))
         if arr.ndim != 2 or arr.shape[0] != 2:
             raise ValueError(f"expected a (2, q) LLR array, got shape {arr.shape}")
         bad = [v for v in arr.ravel().tolist() if not -L_MAX <= v <= L_MAX]
@@ -111,9 +108,18 @@ def symbol_log_priors(llrs: AprioriLLRs, c: Constellation) -> np.ndarray:
     return np.matmul(llrs.values.reshape(2, 1, c.q), c.bit_weights.T).reshape(2, c.M)
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; if complex, a ValueError naming ``what``
+    rather than a cast that drops the imaginary part."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got complex values")
+    return arr.astype(float, copy=False)
+
+
 def finite_log_priors(logp) -> np.ndarray:
-    """``logp`` as a float array; ValueError unless every entry is finite."""
-    arr = np.asarray(logp, float)
+    """``logp`` as a float array; ValueError unless it is real and finite."""
+    arr = real_array(logp, "axis log-priors")
     if not all(map(math.isfinite, arr.ravel().tolist())):
         raise ValueError("axis log-priors must be finite")
     return arr

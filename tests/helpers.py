@@ -86,72 +86,61 @@ class WalkedRegions(DecisionRegions):
         self.upper = np.asarray(upper, float)
 
 
-def build_regions_walk(pam, logp, gain: float) -> WalkedRegions:
+def build_regions_walk(pam, logp, gains) -> WalkedRegions:
     """Pair-by-pair region build: the reference for ``build_regions`` and
     ``upper_bounds``.
 
-    Walks the amplitudes from the largest down.  At each surviving
+    Walks each table of the ``(T, L)`` log-priors, with its gain of the
+    ``(T,)`` gains, from the largest amplitude down.  At each surviving
     amplitude the lower threshold is the max crossover with all smaller
     amplitudes (first maximum on ties, by the strict ``>``) and the upper
     threshold the min crossover with all larger ones.  When the binding
     lower crossover comes from a non-adjacent amplitude, the amplitudes in
     between keep NaN bounds and the walk jumps past them.  Crossovers
-    are cached so each pair is evaluated at most once, and the number of
-    evaluations must equal the table's ``boundary_count``, which is read
-    from the NaNs.  A ``(T, L)`` stack of log-priors, with one gain or
-    ``T`` of them, is walked table by table.
+    are cached so each pair of a table is evaluated at most once, and the
+    number of evaluations must equal the table's ``boundary_count``, which
+    is read from the NaNs.
     """
     lp = finite_log_priors(logp)
-    if lp.ndim == 2:
-        gains = np.broadcast_to(np.asarray(gain, float), lp.shape[:1])
-        tables = [build_regions_walk(pam, row, g) for row, g in zip(lp, gains)]
-        return WalkedRegions(
-            lower=np.array([t.lower for t in tables]),
-            upper=np.array([t.upper for t in tables]),
-        )
-    if gain <= 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    gains = np.asarray(gains, float)
     L = pam.L
-    if lp.size != L:
-        raise ValueError(f"expected {L} log-priors, got {lp.size}")
+    if lp.ndim != 2 or lp.shape[1] != L or gains.shape != lp.shape[:1]:
+        raise ValueError(
+            f"expected (T, {L}) log-priors and (T,) gains, got {lp.shape} and {gains.shape}"
+        )
 
     x = [float(v) for v in pam.points]
-    p = [float(v) for v in lp]
-    gain = float(gain)
-    cache: dict[tuple[int, int], float] = {}
+    lower = np.full(lp.shape, np.nan)
+    upper = np.full(lp.shape, np.nan)
+    for t, (p, gain) in enumerate(zip(lp.tolist(), gains.tolist())):
+        if gain <= 0:
+            raise ValueError(f"gain must be positive, got {gain}")
+        cache: dict[tuple[int, int], float] = {}
 
-    def crossover(k: int, j: int) -> float:
-        # Same floating expression as pairwise_boundary, cached per pair.
-        key = (k, j) if k < j else (j, k)
-        if key not in cache:
-            cache[key] = (x[k] + x[j]) / 2.0 - (p[k] - p[j]) / (2.0 * (x[k] - x[j]) * gain)
-        return cache[key]
+        def crossover(k: int, j: int) -> float:
+            # Same floating expression as pairwise_boundary, cached per pair.
+            key = (k, j) if k < j else (j, k)
+            if key not in cache:
+                cache[key] = (x[k] + x[j]) / 2.0 - (p[k] - p[j]) / (2.0 * (x[k] - x[j]) * gain)
+            return cache[key]
 
-    lower = np.full(L, np.nan)
-    upper = np.full(L, np.nan)
+        k = 0
+        while k <= L - 1:
+            j_star = k + 1
+            if k < L - 1:
+                best = crossover(k, k + 1)
+                for j in range(k + 2, L):
+                    d = crossover(k, j)
+                    if d > best:
+                        best = d
+                        j_star = j
+                lower[t, k] = best
+            else:
+                lower[t, k] = -np.inf
+            upper[t, k] = min(crossover(k, j) for j in range(k)) if k > 0 else np.inf
+            k = j_star  # the amplitudes in between keep NaN bounds: empty
 
-    k = 0
-    while k <= L - 1:
-        j_star = k + 1
-        if k < L - 1:
-            best = crossover(k, k + 1)
-            for j in range(k + 2, L):
-                d = crossover(k, j)
-                if d > best:
-                    best = d
-                    j_star = j
-            lower[k] = best
-        else:
-            lower[k] = -np.inf
-        upper[k] = min(crossover(k, j) for j in range(k)) if k > 0 else np.inf
-        k = j_star  # the amplitudes in between keep NaN bounds: empty
-
-    regions = WalkedRegions(lower=lower, upper=upper)
-    # the evaluated pairs, counted independently of the NaNs
-    assert len(cache) == regions.boundary_count, (len(cache), regions.boundary_count)
-    return regions
-
-
-def table_rows(regions) -> list:
-    """Each table of a stack as a single-table ``DecisionRegions``."""
-    return [DecisionRegions(lower) for lower in regions.lower]
+        # the evaluated pairs, counted independently of the NaNs
+        count = DecisionRegions(lower[t:t + 1]).boundary_count
+        assert len(cache) == count, (len(cache), count)
+    return WalkedRegions(lower=lower, upper=upper)

@@ -50,10 +50,7 @@ def criterion(capsys, number: int, name: str):
 def _any_axis_pruned(const, llrs, obs) -> bool:
     pam = const.real_axis
     gains = (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
-    for logp, gain in zip(axis_log_priors(llrs, pam), gains):
-        if build_regions(pam, logp, gain).empty.any():
-            return True
-    return False
+    return bool(build_regions(pam, axis_log_priors(llrs, pam), gains).empty.any())
 
 
 @pytest.fixture(scope="module")
@@ -157,15 +154,15 @@ class TestAcceptance:
             rng = np.random.default_rng(MASTER_SEED + 1)
             for M in (4, 16, 64, 256):
                 pam = build_constellation(M).real_axis
-                zeros = np.zeros(pam.L)
+                zeros = np.zeros((1, pam.L))
                 for _ in range(20):
-                    gain = rng.uniform(0.01, 20)
+                    gain = [rng.uniform(0.01, 20)]
                     regions = build_regions(pam, zeros, gain)
-                    upper = upper_bounds(pam, zeros, gain)
+                    (upper,) = upper_bounds(pam, zeros, gain)
                     assert not regions.empty.any()
                     for k in range(pam.L - 1):
                         mid = (pam.points[k] + pam.points[k + 1]) / 2
-                        assert abs(regions.lower[k] - mid) <= MIDPOINT_TOL
+                        assert abs(regions.lower[0, k] - mid) <= MIDPOINT_TOL
                         assert abs(upper[k + 1] - mid) <= MIDPOINT_TOL
             for M in (4, 16, 64):
                 const = build_constellation(M)
@@ -199,21 +196,22 @@ class TestAcceptance:
                     total_instances += 1
                     logp = rng.uniform(-50, 50, pam.L)
                     gain = rng.uniform(0.02, 8)
-                    regions = build_regions(pam, logp, gain)
-                    upper = upper_bounds(pam, logp, gain)
+                    regions = build_regions(pam, logp[None], [gain])
+                    (upper,) = upper_bounds(pam, logp[None], [gain])
+                    (lower,), (empty,) = regions.lower, regions.empty
                     winners = argmax_slice_oracle(pam, logp, gain, grid)
                     np.testing.assert_array_equal(
-                        slice_statistic(regions, grid), winners
+                        slice_statistic(regions, grid[None])[0], winners
                     )
-                    pruned = np.flatnonzero(regions.empty)
+                    pruned = np.flatnonzero(empty)
                     total_pruned += pruned.size
                     assert not np.any(np.isin(winners, pruned))
-                    keep = np.flatnonzero(~regions.empty)
+                    keep = np.flatnonzero(~empty)
                     assert upper[keep[0]] == np.inf
-                    assert regions.lower[keep[-1]] == -np.inf
+                    assert lower[keep[-1]] == -np.inf
                     for a, b in zip(keep[:-1], keep[1:]):
-                        assert regions.lower[a] == upper[b]
-                        assert regions.lower[a] < upper[a]
+                        assert lower[a] == upper[b]
+                        assert lower[a] < upper[a]
             assert total_instances >= 1000
             assert total_pruned > 0  # the battery must actually exercise pruning
 

@@ -27,7 +27,7 @@ from sisodet.detector import llrs_from_metrics
 from sisodet.oracle import pair_metric_table, quadratic_norm, residual_statistic
 from sisodet.priors import L_MAX
 from sisodet.slicer import DecisionRegions, build_regions, slice_statistic
-from helpers import build_regions_walk, random_tone, table_rows
+from helpers import build_regions_walk, random_tone
 
 
 def _noiseless_obs(rng, const, n_rx=2):
@@ -121,8 +121,8 @@ class TestCandidateMetric:
 class TestLlrsFromMetrics:
     def test_all_equal_metrics_zero_llrs(self):
         const = build_constellation(16)
-        out = llrs_from_metrics(np.full(16, 2.5), const.split_bit_index)
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = llrs_from_metrics(np.full((1, 16), 2.5), const.split_bit_index)
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_unique_maximum_dominates_signs(self):
         """L(c_n) >= 0 exactly when the best symbol has bit n set."""
@@ -131,7 +131,7 @@ class TestLlrsFromMetrics:
         metrics = rng.uniform(-10, 0, 64)
         k0 = rng.integers(0, 64)
         metrics[k0] = 5.0
-        out = llrs_from_metrics(metrics, const.split_bit_index)
+        out = llrs_from_metrics(metrics[None], const.split_bit_index)[0]
         for n in range(6):
             assert (out[n] >= 0) == bool(const.labels[k0, n])
 
@@ -141,7 +141,7 @@ class TestLlrsFromMetrics:
         rng = np.random.default_rng(47)
         for _ in range(50):
             metrics = rng.uniform(-20, 20, 16)
-            out = llrs_from_metrics(metrics, const.split_bit_index)
+            out = llrs_from_metrics(metrics[None], const.split_bit_index)[0]
             for n in range(4):
                 best = [-np.inf, -np.inf]
                 for k in range(16):
@@ -159,7 +159,7 @@ class TestLlrsFromMetrics:
             metrics = rng.integers(-3, 4, M).astype(float)  # ties in every bit
             metrics[rng.random(M) < 0.1] = 1e30
             metrics[rng.random(M) < 0.1] = -1e30
-            out = llrs_from_metrics(metrics, const.split_bit_index)
+            out = llrs_from_metrics(metrics[None], const.split_bit_index)[0]
             expected = np.empty(const.q)
             for n in range(const.q):
                 bit = const.labels[:, n]
@@ -177,7 +177,9 @@ class TestLlrsFromMetrics:
             metrics[rng.random((T, M)) < 0.1] = 1e30
             metrics[rng.random((T, M)) < 0.1] = -1e30
             stacked = llrs_from_metrics(metrics, const.split_bit_index)
-            rows = np.array([llrs_from_metrics(m, const.split_bit_index) for m in metrics])
+            rows = np.concatenate(
+                [llrs_from_metrics(metrics[t:t + 1], const.split_bit_index) for t in range(T)]
+            )
             assert stacked.shape == (T, const.q)
             assert stacked.tobytes() == rows.tobytes()
 
@@ -187,12 +189,22 @@ class TestLlrsFromMetrics:
         with pytest.raises(ValueError, match="one metric per labeled symbol required"):
             llrs_from_metrics(np.zeros(shape), const.split_bit_index)
 
+    @pytest.mark.parametrize(
+        "metrics", [1 + 1j * np.arange(16)[None], np.full((2, 16), 1j)], ids=["one", "two"]
+    )
+    def test_complex_metrics_named(self, metrics):
+        """Complex metrics are refused: a float cast would drop their
+        imaginary parts and give all-zero LLRs."""
+        const = build_constellation(16)
+        with pytest.raises(ValueError, match="metrics must be real, got complex values"):
+            llrs_from_metrics(metrics, const.split_bit_index)
+
     def test_constant_shift_invariance(self):
         const = build_constellation(16)
         rng = np.random.default_rng(48)
         metrics = rng.uniform(-5, 5, 16)
-        base = llrs_from_metrics(metrics, const.split_bit_index)
-        shifted = llrs_from_metrics(metrics + 2.0, const.split_bit_index)
+        base = llrs_from_metrics(metrics[None], const.split_bit_index)
+        shifted = llrs_from_metrics(metrics[None] + 2.0, const.split_bit_index)
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -432,15 +444,20 @@ class TestDetect:
             obs, llrs, _, _, _, _ = random_tone(rng, const, snr_db=snr, rho=0.5, mu=mu)
             tones.append((obs, llrs, detect(obs, const, llrs)))
 
-        def build_per_table(pam, logp, gain):
-            tables = [build_regions(pam, row, g) for row, g in zip(logp, gain)]
-            return DecisionRegions(np.array([r.lower for r in tables]))
+        def build_per_table(pam, logp, gains):
+            tables = [build_regions(pam, logp[t:t + 1], gains[t:t + 1]) for t in range(4)]
+            return DecisionRegions(np.concatenate([r.lower for r in tables]))
 
         def slice_per_table(regions, z):
-            return np.array([slice_statistic(r, row) for r, row in zip(table_rows(regions), z)])
+            return np.concatenate([
+                slice_statistic(DecisionRegions(regions.lower[t:t + 1]), z[t:t + 1])
+                for t in range(4)
+            ])
 
         def llrs_per_layer(metrics, split_index):
-            return np.array([llrs_from_metrics(row, split_index) for row in metrics])
+            return np.concatenate(
+                [llrs_from_metrics(metrics[t:t + 1], split_index) for t in range(2)]
+            )
 
         monkeypatch.setattr(detector, "build_regions", build_per_table)
         monkeypatch.setattr(detector, "slice_statistic", slice_per_table)

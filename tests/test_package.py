@@ -1,11 +1,12 @@
 """The package as a whole: its runtime needs numpy only, its public API,
-its import graph and the test modules named after its modules.
+its import graph, the test modules named after its modules and the demos.
 
 The two scipy checks run in a fresh interpreter, because this test
 process has scipy loaded already (the references in ``helpers`` use it).
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -152,3 +153,37 @@ def test_test_modules_name_package_modules():
             continue
         module = "sisodet." + path.stem[len("test_"):]
         assert importlib.util.find_spec(module) is not None, path.name
+
+
+# sha256 of what each demo prints, or for the BER sweep, whose stdout
+# depends on whether matplotlib is installed, of the CSV it writes.
+DEMO_DIGESTS = {
+    "ber_feedback_sweep.py": (
+        "ber_sweep.csv", "b0afa380aeec0e9a68e55ce77fd6f7caa2bd856e1a98da64845d64dab8e6738e"
+    ),
+    "decision_regions.py": (
+        "stdout", "a6e1202a32ecbc0886bb60a102a27c385d32a0a1dcadddbbff3a97dc6f47fd5f"
+    ),
+    "exact_detection.py": (
+        "stdout", "f0fa9004b437e7745144e0b87a85c165a22b30ee424532c16f374882724ef8a2"
+    ),
+    "operation_counts.py": (
+        "stdout", "8237b1087ed219fe211561d855b45aeafd9ea14ad883adc3c3b756028382d1c6"
+    ),
+}
+
+
+def test_demos_run_and_keep_their_output(tmp_path):
+    """Every demo exits 0 in a fresh directory with warnings as tier-1 treats
+    them, so a silent overflow fails, and its output keeps its pinned bytes."""
+    demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+    assert [demo.name for demo in demos] == sorted(DEMO_DIGESTS)
+    for demo in demos:
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+            capture_output=True, cwd=tmp_path, env=ENV, timeout=120,
+        )
+        assert run.returncode == 0, (demo.name, run.stderr.decode())
+        output, digest = DEMO_DIGESTS[demo.name]
+        data = run.stdout if output == "stdout" else (tmp_path / output).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, demo.name

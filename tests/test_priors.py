@@ -14,7 +14,8 @@ from sisodet import (
     genie_priors,
     uniform_priors,
 )
-from sisodet.priors import axis_log_priors, symbol_log_priors
+from sisodet.oracle import argmax_slice_oracle, pairwise_boundary
+from sisodet.priors import axis_log_priors, finite_log_priors, symbol_log_priors
 from sisodet.slicer import build_regions, slice_statistic, upper_bounds
 
 finite_llr = st.floats(min_value=-49.0, max_value=49.0)
@@ -255,6 +256,24 @@ class TestGeniePriors:
                 genie_priors(np.random.default_rng(0), np.zeros((2, 2)), mu)
 
 
+class TestFiniteLogPriors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pam, lp: finite_log_priors(lp),
+            lambda pam, lp: pairwise_boundary(pam, 0, 1, lp, 1.0),
+            lambda pam, lp: argmax_slice_oracle(pam, lp, 1.0, 0.0),
+        ],
+        ids=["finite_log_priors", "pairwise_boundary", "argmax_slice_oracle"],
+    )
+    def test_complex_rejected(self, call):
+        """The oracle references share the slicer's log-prior check, so
+        complex log-priors fail by name in each, not cast to their real parts."""
+        pam = build_constellation(16).real_axis
+        with pytest.raises(ValueError, match="axis log-priors must be real, got complex values"):
+            call(pam, np.array([0, 40j, 0, 0]))
+
+
 class TestLogPriorShiftInvariance:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -263,30 +282,37 @@ class TestLogPriorShiftInvariance:
         gain=st.floats(min_value=0.05, max_value=20),
     )
     def test_constant_shift_keeps_regions(self, logp, shift, gain):
-        """Adding a constant to every logp moves no threshold or decision."""
+        """Adding a constant to every logp moves no threshold beyond rounding,
+        and no decision but on a grid point a threshold moved across.
+
+        ``base + shift`` rounds each entry: logp (0, -1.3e-293, 0, 0) plus 1.0
+        is the zero-prior row, whose middle threshold sits at 0, not 1e-293.
+        """
         pam = build_constellation(16).real_axis
-        base = np.array(logp)
+        base = np.array([logp])
         shifted = base + shift
-        r1 = build_regions(pam, base, gain)
-        r2 = build_regions(pam, shifted, gain)
+        r1 = build_regions(pam, base, [gain])
+        r2 = build_regions(pam, shifted, [gain])
         np.testing.assert_array_equal(r1.empty, r2.empty)
         keep = ~r1.empty
         np.testing.assert_allclose(
             r1.lower[keep], r2.lower[keep], rtol=1e-9, atol=1e-9
         )
         grid = np.linspace(-2, 2, 401)
-        np.testing.assert_array_equal(
-            slice_statistic(r1, grid), slice_statistic(r2, grid)
-        )
+        moved = slice_statistic(r1, grid[None]) != slice_statistic(r2, grid[None])
+        lo = np.fmin(r1.lower, r2.lower)[keep]
+        hi = np.fmax(r1.lower, r2.lower)[keep]
+        for z in grid[moved[0]]:
+            assert np.any((lo <= z) & (z <= hi)), z
 
     def test_integer_shift_is_exact(self):
         """Dyadic logp and shift values cancel with no rounding at all."""
         pam = build_constellation(16).real_axis
-        base = np.array([1.0, -3.0, 2.0, 0.0])
-        r1 = build_regions(pam, base, 2.0)
-        r2 = build_regions(pam, base + 8.0, 2.0)
+        base = np.array([[1.0, -3.0, 2.0, 0.0]])
+        r1 = build_regions(pam, base, [2.0])
+        r2 = build_regions(pam, base + 8.0, [2.0])
         keep = ~r1.empty
         np.testing.assert_array_equal(r1.lower[keep], r2.lower[keep])
         np.testing.assert_array_equal(
-            upper_bounds(pam, base, 2.0)[keep], upper_bounds(pam, base + 8.0, 2.0)[keep]
+            upper_bounds(pam, base, [2.0])[keep], upper_bounds(pam, base + 8.0, [2.0])[keep]
         )

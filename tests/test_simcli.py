@@ -158,16 +158,16 @@ class TestRunRegions:
         C = noise_covariance(sigma2_from_snr_db(snr_db), cfg.rho, cfg.n_rx)
         obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0]).obs
         llrs = clamp(np.reshape(np.asarray(llr, float), (2, const.q)))
+        gains = (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
+        walk = build_regions_walk(pam, axis_log_priors(llrs, pam), gains)
         expected = []
-        logp = iter(axis_log_priors(llrs, pam))  # rows in the loop order below
-        for layer, gain in ((1, obs.gain1), (2, obs.gain2)):
-            for axis in ("real", "imag"):
-                walk = build_regions_walk(pam, next(logp), gain)
-                for k, point in enumerate(pam.points):
-                    values = (point, walk.lower[k], walk.upper[k])
-                    bounds = ",".join(format(float(v), ".17g") for v in values)
-                    flag = "true" if walk.empty[k] else "false"
-                    expected.append(f"{axis},{layer},{k},{bounds},{flag}")
+        for t in range(4):  # layer 1 real, layer 1 imag, layer 2 real, layer 2 imag
+            layer, axis = t // 2 + 1, ("real", "imag")[t % 2]
+            for k, point in enumerate(pam.points):
+                values = (point, walk.lower[t, k], walk.upper[t, k])
+                bounds = ",".join(format(float(v), ".17g") for v in values)
+                flag = "true" if walk.empty[t, k] else "false"
+                expected.append(f"{axis},{layer},{k},{bounds},{flag}")
         rows = run_regions(cfg, llr).splitlines()[1:]
         assert rows == expected
         assert any(row.endswith("true") for row in rows) == pruned

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import sisodet
 from sisodet import build_constellation, clamp
+from sisodet.detector import llrs_from_metrics
 from sisodet.oracle import argmax_slice_oracle, pairwise_boundary
 from sisodet.priors import L_MAX, axis_log_priors
 from sisodet.slicer import DecisionRegions, build_regions, slice_statistic, upper_bounds
-from helpers import build_regions_walk, table_rows
+from helpers import build_regions_walk
 
 finite_logp = st.floats(min_value=-60.0, max_value=60.0)
 
@@ -86,13 +87,13 @@ class TestPairwiseBoundary:
 class TestBuildRegions:
     def test_zero_priors_midpoint_tiling(self, axis16):
         """Uniform priors give midpoint thresholds and no empty regions."""
-        regions = build_regions(axis16, np.zeros(4), 1.0)
-        upper = upper_bounds(axis16, np.zeros(4), 1.0)
+        regions = build_regions(axis16, np.zeros((1, 4)), [1.0])
+        (upper,) = upper_bounds(axis16, np.zeros((1, 4)), [1.0])
         expected = np.array([2.0, 0.0, -2.0]) / np.sqrt(10)
-        np.testing.assert_allclose(regions.lower[:3], expected, atol=1e-12)
+        np.testing.assert_allclose(regions.lower[0, :3], expected, atol=1e-12)
         np.testing.assert_allclose(upper[1:], expected, atol=1e-12)
         assert upper[0] == np.inf
-        assert regions.lower[3] == -np.inf
+        assert regions.lower[0, 3] == -np.inf
         assert not regions.empty.any()
         assert regions.boundary_count == 6
 
@@ -100,20 +101,20 @@ class TestBuildRegions:
         pam = build_constellation(4).real_axis
         rng = np.random.default_rng(31)
         for _ in range(100):
-            lp = rng.uniform(-50, 50, 2)
-            gain = rng.uniform(0.01, 10)
+            lp = rng.uniform(-50, 50, (1, 2))
+            gain = [rng.uniform(0.01, 10)]
             regions = build_regions(pam, lp, gain)
             assert not regions.empty.any()
             assert regions.boundary_count == 1
-            assert regions.lower[0] == upper_bounds(pam, lp, gain)[1]
+            assert regions.lower[0, 0] == upper_bounds(pam, lp, gain)[0, 1]
 
     def test_nonpositive_gain_rejected(self, axis16):
         with pytest.raises(ValueError):
-            build_regions(axis16, np.zeros(4), -1.0)
+            build_regions(axis16, np.zeros((1, 4)), [-1.0])
 
     def test_nonfinite_logp_rejected(self, axis16):
         with pytest.raises(ValueError):
-            build_regions(axis16, np.array([0.0, np.inf, 0.0, 0.0]), 1.0)
+            build_regions(axis16, np.array([[0.0, np.inf, 0.0, 0.0]]), [1.0])
 
     def test_nonfinite_crossover_rejected_not_hung(self):
         """A gain small enough to underflow a crossover's divisor to 0 once
@@ -123,7 +124,7 @@ class TestBuildRegions:
             "from sisodet import build_constellation\n"
             "from sisodet.slicer import build_regions\n"
             "try:\n"
-            "    build_regions(build_constellation(16).real_axis, [0, 1, 0, 0], 5e-324)\n"
+            "    build_regions(build_constellation(16).real_axis, [[0, 1, 0, 0]], [5e-324])\n"
             "except ValueError as err:\n"
             "    print(err)\n"
         )
@@ -137,8 +138,8 @@ class TestBuildRegions:
     def test_boundary_count_ceiling(self, axis64):
         rng = np.random.default_rng(32)
         for _ in range(100):
-            lp = rng.uniform(-50, 50, 8)
-            regions = build_regions(axis64, lp, rng.uniform(0.05, 5))
+            lp = rng.uniform(-50, 50, (1, 8))
+            regions = build_regions(axis64, lp, [rng.uniform(0.05, 5)])
             assert regions.boundary_count <= 8 * 7 // 2
 
 
@@ -171,39 +172,39 @@ class TestPruningOnset:
     def test_empty_flag_tracks_onset(self, axis16):
         onset = axis16.spacing**2 * self.GAIN
         below = build_regions(
-            axis16, np.array([0.0, -(onset * 0.9), 0.0, 0.0]), self.GAIN
+            axis16, np.array([[0.0, -(onset * 0.9), 0.0, 0.0]]), [self.GAIN]
         )
         above = build_regions(
-            axis16, np.array([0.0, -(onset * 1.1), 0.0, 0.0]), self.GAIN
+            axis16, np.array([[0.0, -(onset * 1.1), 0.0, 0.0]]), [self.GAIN]
         )
-        assert not below.empty[1]
-        assert above.empty[1]
-        assert not above.empty[2]
+        assert not below.empty[0, 1]
+        assert above.empty[0, 1]
+        assert not above.empty[0, 2]
 
     def test_pruned_amplitude_never_sliced(self, axis16):
-        regions = build_regions(axis16, np.array([0.0, -3.0, 0.0, 0.0]), self.GAIN)
-        assert regions.empty[1]
-        out = slice_statistic(regions, dense_grid(axis16))
+        regions = build_regions(axis16, np.array([[0.0, -3.0, 0.0, 0.0]]), [self.GAIN])
+        assert regions.empty[0, 1]
+        out = slice_statistic(regions, dense_grid(axis16)[None])
         assert not np.any(out == 1)
 
     def test_double_prune_saves_boundaries(self, axis16):
         """Two skipped amplitudes leave their mutual threshold unevaluated."""
-        regions = build_regions(axis16, np.array([0.0, -40.0, -40.0, 0.0]), self.GAIN)
-        np.testing.assert_array_equal(regions.empty, [False, True, True, False])
+        regions = build_regions(axis16, np.array([[0.0, -40.0, -40.0, 0.0]]), [self.GAIN])
+        np.testing.assert_array_equal(regions.empty, [[False, True, True, False]])
         assert regions.boundary_count == 5  # one pair of the full 6 skipped
 
 
 class TestSlice:
     def test_nearest_neighbor_without_priors(self, axis16):
-        regions = build_regions(axis16, np.zeros(4), 1.0)
+        regions = build_regions(axis16, np.zeros((1, 4)), [1.0])
         z = 0.5 / np.sqrt(10)
-        assert axis16.points[slice_statistic(regions, z)] == axis16.points[1]
+        assert axis16.points[slice_statistic(regions, [[z]])[0, 0]] == axis16.points[1]
 
     def test_boundary_goes_to_higher_amplitude(self, axis16):
         """A statistic exactly on a threshold picks the larger amplitude."""
-        regions = build_regions(axis16, np.zeros(4), 1.0)
-        boundary = regions.lower[0]
-        assert slice_statistic(regions, boundary) == 0
+        regions = build_regions(axis16, np.zeros((1, 4)), [1.0])
+        boundary = regions.lower[0, 0]
+        assert slice_statistic(regions, [[boundary]])[0, 0] == 0
         oracle = argmax_slice_oracle(axis16, np.zeros(4), 1.0, boundary)
         assert oracle == 0
 
@@ -213,10 +214,10 @@ class TestSlice:
         for _ in range(200):
             lp = rng.uniform(-50, 50, 8)
             gain = rng.uniform(0.02, 8)
-            regions = build_regions(axis64, lp, gain)
+            regions = build_regions(axis64, lp[None], [gain])
             z = rng.uniform(-3, 3, 50)
             np.testing.assert_array_equal(
-                slice_statistic(regions, z),
+                slice_statistic(regions, z[None])[0],
                 argmax_slice_oracle(axis64, lp, gain, z),
             )
 
@@ -228,8 +229,8 @@ class TestSlice:
     )
     def test_matches_oracle_hypothesis(self, logp, gain, z):
         pam = build_constellation(16).real_axis
-        regions = build_regions(pam, np.array(logp), gain)
-        assert slice_statistic(regions, z) == argmax_slice_oracle(
+        regions = build_regions(pam, np.array([logp]), [gain])
+        assert slice_statistic(regions, [[z]])[0, 0] == argmax_slice_oracle(
             pam, np.array(logp), gain, z
         )
 
@@ -251,20 +252,20 @@ class TestSlicingRule:
         the table's own intervals instead, far inside the 1e-6 gate.
         """
         logp = [0.0, 0.0, 1.0, -2.0]
-        regions = build_regions(axis16, logp, np.nextafter(1.25, 0))
-        lower = regions.lower
+        regions = build_regions(axis16, [logp], [np.nextafter(1.25, 0)])
+        (lower,) = regions.lower
         assert not regions.empty.any()
         # two ulps below lower[0] up to two ulps above lower[1]
         z = lower[0] + np.arange(-2, 4) * np.spacing(lower[0])
         assert z[3] == lower[1]
         expected = np.array([2, 2, 0, 0, 0, 0])
 
-        assert [slice_statistic(regions, v) for v in z] == expected.tolist()
-        assert slice_statistic(regions, lower[0]) == 0
-        assert np.array_equal(slice_statistic(regions, z), expected)
-        assert np.array_equal(slice_statistic(regions, z[::-1]), expected[::-1])
+        assert [slice_statistic(regions, [[v]])[0, 0] for v in z] == expected.tolist()
+        assert slice_statistic(regions, [[lower[0]]])[0, 0] == 0
+        assert np.array_equal(slice_statistic(regions, z[None])[0], expected)
+        assert np.array_equal(slice_statistic(regions, z[None, ::-1])[0], expected[::-1])
         order = np.random.default_rng(39).permutation(z.size)
-        assert np.array_equal(slice_statistic(regions, z[order]), expected[order])
+        assert np.array_equal(slice_statistic(regions, z[None, order])[0], expected[order])
         stack = build_regions(
             axis16,
             [[0.0, 0.0, 0.0, 0.0], [0.0, -3.0, 0.0, 0.0], logp, [2.0, 0.0, 0.0, -1.0]],
@@ -279,7 +280,7 @@ class TestSlicingRule:
         """Integer log-priors with gains 2^k / spacing^2, as is or one ulp
         off: many crossovers tie, and some survivors' lower bounds come out
         of order by one ulp.  Statistics on every bound and one ulp on each
-        side slice by the rule, as scalars and as rows of a stack."""
+        side slice by the rule, each alone and as rows of a stack."""
         pam = build_constellation(M).real_axis
         L = pam.L
         rng = np.random.default_rng([39, M])
@@ -301,8 +302,9 @@ class TestSlicingRule:
             ])
             assert np.array_equal(slice_statistic(stack, z), expected)
             assert np.array_equal(slice_statistic(stack, z[:, ::-1]), expected[:, ::-1])
-            for table, row, owners in zip(table_rows(stack), z, expected):
-                assert [slice_statistic(table, v) for v in row] == owners.tolist()
+            # each statistic alone: one row per statistic, against a copy of its table
+            alone = DecisionRegions(np.repeat(stack.lower, z.shape[1], axis=0))
+            assert np.array_equal(slice_statistic(alone, z.reshape(-1, 1)), expected.reshape(-1, 1))
 
             unsorted += sum(
                 bool(np.any(np.diff(lower[~empty]) > 0))
@@ -319,7 +321,7 @@ class TestNanRejected:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda pam, gain: build_regions(pam, np.zeros(4), gain),
+            lambda pam, gain: build_regions(pam, np.zeros((1, 4)), [gain]),
             lambda pam, gain: pairwise_boundary(pam, 0, 1, np.zeros(4), gain),
             lambda pam, gain: argmax_slice_oracle(pam, np.zeros(4), gain, 0.0),
         ],
@@ -333,17 +335,17 @@ class TestNanRejected:
         "z", [np.nan, np.array([np.nan, 0.0]), np.array([0.0, 1e200, np.nan])]
     )
     def test_nan_statistic(self, axis16, z):
-        regions = build_regions(axis16, np.zeros(4), 1.0)
+        regions = build_regions(axis16, np.zeros((1, 4)), [1.0])
         with pytest.raises(ValueError, match="decision statistic is NaN"):
-            slice_statistic(regions, z)
+            slice_statistic(regions, np.atleast_2d(z))
 
     def test_infinite_statistic_still_sliced(self, axis16):
         """Infinite and overflowing statistics are not mistaken for NaN."""
-        regions = build_regions(axis16, np.zeros(4), 1.0)
-        assert slice_statistic(regions, -np.inf) == 3
+        regions = build_regions(axis16, np.zeros((1, 4)), [1.0])
+        assert slice_statistic(regions, [[-np.inf]])[0, 0] == 3
         np.testing.assert_array_equal(
-            slice_statistic(regions, np.array([np.inf, -np.inf, 1e200, -1e200])),
-            [0, 3, 0, 3],
+            slice_statistic(regions, np.array([[np.inf, -np.inf, 1e200, -1e200]])),
+            [[0, 3, 0, 3]],
         )
 
 
@@ -357,30 +359,31 @@ class TestRegionInvariants:
         for _ in range(60):
             lp = rng.uniform(-50, 50, pam.L)
             gain = rng.uniform(0.02, 8)
-            regions = build_regions(pam, lp, gain)
-            upper = upper_bounds(pam, lp, gain)
+            regions = build_regions(pam, lp[None], [gain])
+            (upper,) = upper_bounds(pam, lp[None], [gain])
+            (lower,), (empty,) = regions.lower, regions.empty
 
             # extremes always own a region
-            assert not regions.empty[0]
-            assert not regions.empty[-1]
+            assert not empty[0]
+            assert not empty[-1]
 
             # surviving intervals tile the line: consecutive survivors
             # share one finite threshold, and bounds strictly order
-            keep = np.flatnonzero(~regions.empty)
+            keep = np.flatnonzero(~empty)
             for a, b in zip(keep[:-1], keep[1:]):
-                assert regions.lower[a] == upper[b]
-                assert regions.lower[a] < upper[a]
-                assert regions.lower[b] < upper[b]
+                assert lower[a] == upper[b]
+                assert lower[a] < upper[a]
+                assert lower[b] < upper[b]
 
             # slicing agrees with the direct argmax everywhere
             np.testing.assert_array_equal(
-                slice_statistic(regions, grid),
+                slice_statistic(regions, grid[None])[0],
                 argmax_slice_oracle(pam, lp, gain, grid),
             )
 
             # amplitudes flagged empty never win
             winners = set(argmax_slice_oracle(pam, lp, gain, grid).tolist())
-            assert winners.isdisjoint(np.flatnonzero(regions.empty).tolist())
+            assert winners.isdisjoint(np.flatnonzero(empty).tolist())
 
     def test_raising_logp_grows_own_interval_only(self, axis16):
         """More prior mass never shrinks the favored interval and never
@@ -393,21 +396,21 @@ class TestRegionInvariants:
             delta = rng.uniform(0.1, 10)
             bumped = lp.copy()
             bumped[k] += delta
-            before = build_regions(axis16, lp, gain)
-            after = build_regions(axis16, bumped, gain)
-            before_upper = upper_bounds(axis16, lp, gain)
-            after_upper = upper_bounds(axis16, bumped, gain)
+            before = build_regions(axis16, lp[None], [gain])
+            after = build_regions(axis16, bumped[None], [gain])
+            (before_upper,) = upper_bounds(axis16, lp[None], [gain])
+            (after_upper,) = upper_bounds(axis16, bumped[None], [gain])
 
             # the favored amplitude can only widen (or appear)
-            if not before.empty[k]:
-                assert not after.empty[k]
-                assert after.lower[k] <= before.lower[k] + 1e-12
+            if not before.empty[0, k]:
+                assert not after.empty[0, k]
+                assert after.lower[0, k] <= before.lower[0, k] + 1e-12
                 assert after_upper[k] >= before_upper[k] - 1e-12
             for m in range(4):
-                if m == k or after.empty[m]:
+                if m == k or after.empty[0, m]:
                     continue  # vanished intervals shrank by definition
-                assert not before.empty[m]  # nobody grows from empty
-                assert after.lower[m] >= before.lower[m] - 1e-12
+                assert not before.empty[0, m]  # nobody grows from empty
+                assert after.lower[0, m] >= before.lower[0, m] - 1e-12
                 assert after_upper[m] <= before_upper[m] + 1e-12
 
 
@@ -443,10 +446,10 @@ class TestWalkReference:
         tied_rows = pruned = 0
         for i in range(self.TABLES_PER_ORDER):
             lp, gain = self._log_priors_and_gain(rng, const, i)
-            fast = build_regions(pam, lp, gain)
-            walk = build_regions_walk(pam, lp, gain)
+            fast = build_regions(pam, lp[None], [gain])
+            walk = build_regions_walk(pam, lp[None], [gain])
 
-            fast_upper = upper_bounds(pam, lp, gain)
+            fast_upper = upper_bounds(pam, lp[None], [gain])
             for name, got in (("lower", fast.lower), ("upper", fast_upper), ("empty", fast.empty)):
                 assert np.array_equal(got, getattr(walk, name), equal_nan=True), (name, lp, gain)
             assert fast.boundary_count == walk.boundary_count
@@ -458,10 +461,10 @@ class TestWalkReference:
             z = np.concatenate(
                 [bounds, np.nextafter(bounds, np.inf), pam.points, rng.normal(0, 1, 8)]
             )
-            assert np.array_equal(slice_statistic(fast, z), slice_statistic(walk, z))
+            assert np.array_equal(slice_statistic(fast, z[None]), slice_statistic(walk, z[None]))
 
             pruned += E > 0
-            tied_rows += self._tied_survivor_rows(pam, lp, gain, walk)
+            tied_rows += self._tied_survivor_rows(pam, lp, gain, walk.lower[0])
         if L > 2:
             # the battery reaches pruning and exact ties of a binding crossover
             assert pruned > self.TABLES_PER_ORDER // 10
@@ -469,8 +472,9 @@ class TestWalkReference:
         print(f"M={M}: {pruned} pruned tables, {tied_rows} tied survivor rows")
 
     @staticmethod
-    def _tied_survivor_rows(pam, lp, gain, regions) -> int:
-        """Surviving rows whose largest crossover below is attained twice.
+    def _tied_survivor_rows(pam, lp, gain, lower) -> int:
+        """Surviving rows of one table, its log-priors ``lp``, gain and lower
+        bounds, whose largest crossover below is attained twice.
 
         Empty rows carry a NaN bound, which matches nothing.
         """
@@ -479,12 +483,12 @@ class TestWalkReference:
             d = (x[:, None] + x) / 2.0 - (lp[:, None] - lp) / (
                 2.0 * (x[:, None] - x) * gain
             )
-        below = np.triu(d == regions.lower[:, None], 1)
+        below = np.triu(d == lower[:, None], 1)
         return int(np.sum(below.sum(axis=1) > 1))
 
 
 class TestStackedTables:
-    """A ``(T, L)`` stack of tables is T single-table calls, bit for bit."""
+    """A ``(T, L)`` stack of tables is T calls on stacks of one, bit for bit."""
 
     STACKS_PER_ORDER = 300
 
@@ -505,11 +509,13 @@ class TestStackedTables:
             lp = np.array([t[0] for t in tables])
             gains = np.array([t[1] for t in tables])
             stacked = build_regions(pam, lp, gains)
-            rows = [build_regions(pam, row, g) for row, g in zip(lp, gains)]
+            rows = [build_regions(pam, lp[t:t + 1], gains[t:t + 1]) for t in range(T)]
             for name in ("lower", "empty"):
-                expected = np.array([getattr(r, name) for r in rows])
+                expected = np.concatenate([getattr(r, name) for r in rows])
                 assert getattr(stacked, name).tobytes() == expected.tobytes(), name
-            expected = np.array([upper_bounds(pam, row, g) for row, g in zip(lp, gains)])
+            expected = np.concatenate(
+                [upper_bounds(pam, lp[t:t + 1], gains[t:t + 1]) for t in range(T)]
+            )
             assert upper_bounds(pam, lp, gains).tobytes() == expected.tobytes(), "upper"
             assert stacked.boundary_count == sum(r.boundary_count for r in rows)
 
@@ -517,64 +523,38 @@ class TestStackedTables:
             # ulp above, on the amplitudes and at random
             z = np.empty((T, 3 * pam.L + 4))
             for t, r in enumerate(rows):
-                bounds = np.where(r.empty, 0.0, r.lower)[:-1]
+                bounds = np.where(r.empty, 0.0, r.lower)[0, :-1]
                 z[t] = np.concatenate(
                     [bounds, np.nextafter(bounds, np.inf), pam.points, rng.normal(0, 1, 6)]
                 )
             sliced = slice_statistic(stacked, z)
-            expected = np.array([slice_statistic(r, zt) for r, zt in zip(rows, z)])
+            expected = np.concatenate([slice_statistic(r, z[t:t + 1]) for t, r in enumerate(rows)])
             assert sliced.tobytes() == expected.tobytes()
             # a stack rebuilt from its tables (the derived slicing tables) agrees
             rebuilt = DecisionRegions(stacked.lower)
             assert slice_statistic(rebuilt, z).tobytes() == expected.tobytes()
             assert all(
-                slice_statistic(r, zt).tobytes() == e.tobytes()
-                for r, zt, e in zip(table_rows(stacked), z, expected)
+                slice_statistic(DecisionRegions(stacked.lower[t:t + 1]), z[t:t + 1]).tobytes()
+                == expected[t:t + 1].tobytes()
+                for t in range(T)
             )
             pruned += int(stacked.empty.any(axis=1).sum())
         if pam.L > 2:
             assert pruned > self.STACKS_PER_ORDER // 10
         print(f"M={M}: {pruned} pruned tables in {self.STACKS_PER_ORDER} stacks")
 
-    def test_single_table_is_stack_of_one(self, axis16):
-        rng = np.random.default_rng(38)
-        for _ in range(50):
-            lp = rng.uniform(-50, 50, 4)
-            gain = rng.uniform(0.02, 8)
-            single = build_regions(axis16, lp, gain)
-            stacked = build_regions(axis16, lp[None], [gain])
-            assert single.lower.shape == (4,) and stacked.lower.shape == (1, 4)
-            for name in ("lower", "empty"):
-                assert getattr(single, name).tobytes() == getattr(stacked, name)[0].tobytes()
-            single_upper = upper_bounds(axis16, lp, gain)
-            stacked_upper = upper_bounds(axis16, lp[None], [gain])
-            assert single_upper.shape == (4,) and stacked_upper.shape == (1, 4)
-            assert single_upper.tobytes() == stacked_upper[0].tobytes()
-            assert single.boundary_count == stacked.boundary_count
-            z = rng.normal(0, 1, 20)
-            assert np.array_equal(slice_statistic(single, z), slice_statistic(stacked, z[None])[0])
-
-    def test_one_gain_for_every_table(self, axis16):
-        lp = np.array([[0.0, -3.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        shared = build_regions(axis16, lp, 1.5)
-        each = build_regions(axis16, lp, [1.5, 1.5])
-        for name in ("lower", "empty"):
-            assert getattr(shared, name).tobytes() == getattr(each, name).tobytes()
-        shared_upper = upper_bounds(axis16, lp, 1.5)
-        assert shared_upper.tobytes() == upper_bounds(axis16, lp, [1.5, 1.5]).tobytes()
-        assert shared.boundary_count == each.boundary_count == 12
-
 
 class TestUpperBounds:
     """``upper_bounds`` against the pair-by-pair walk's upper bounds, bit for
-    bit, for a stack of tables and for each of its tables alone."""
+    bit, for a stack of tables and for each of its tables as a stack of one."""
 
     @staticmethod
     def _matches_walk(pam, lp, gains):
         walk = build_regions_walk(pam, lp, gains)
         assert upper_bounds(pam, lp, gains).tobytes() == walk.upper.tobytes()
-        for row, gain, upper in zip(lp, gains, walk.upper):
-            assert upper_bounds(pam, row, gain).tobytes() == upper.tobytes()
+        for t in range(len(lp)):
+            one = upper_bounds(pam, lp[t:t + 1], gains[t:t + 1])
+            assert one.tobytes() == walk.upper[t:t + 1].tobytes()
         return walk
 
     @pytest.mark.parametrize("M", [16, 64, 256])
@@ -591,7 +571,7 @@ class TestUpperBounds:
             walk = self._matches_walk(pam, lp, gains)
             pruned += int(walk.empty.any(axis=1).sum())
             tied_rows += sum(
-                TestWalkReference._tied_survivor_rows(pam, row, gain, DecisionRegions(lower))
+                TestWalkReference._tied_survivor_rows(pam, row, gain, lower)
                 for row, gain, lower in zip(lp, gains, walk.lower)
             )
         assert pruned > 0 and tied_rows > 0
@@ -618,7 +598,9 @@ class TestUpperBounds:
 
     def test_named_errors_are_build_regions_errors(self, axis16):
         """One shared builder: bad arguments fail as they do in build_regions."""
-        for logp, gain in [(np.zeros(5), 1.0), (np.zeros(4), -1.0), (np.zeros((2, 4)), [1.0])]:
+        for logp, gain in [
+            (np.zeros((1, 5)), [1.0]), (np.zeros((1, 4)), [-1.0]), (np.zeros((2, 4)), [1.0])
+        ]:
             with pytest.raises(ValueError) as built:
                 build_regions(axis16, logp, gain)
             with pytest.raises(ValueError, match=re.escape(str(built.value))):
@@ -630,9 +612,9 @@ class TestHandBuiltTables:
     and ``empty`` and ``boundary_count`` are read from the NaNs."""
 
     def test_nan_bound_slices_past_empty_amplitude(self):
-        regions = DecisionRegions([1, np.nan, -1, -np.inf])
-        assert slice_statistic(regions, 0.5) == 2
-        assert regions.empty.tolist() == [False, True, False, False]
+        regions = DecisionRegions([[1, np.nan, -1, -np.inf]])
+        assert slice_statistic(regions, [[0.5]])[0, 0] == 2
+        assert regions.empty.tolist() == [[False, True, False, False]]
         assert regions.boundary_count == 6  # one empty amplitude leaves every pair
 
     def test_repr_rebuilds_the_table(self):
@@ -667,7 +649,7 @@ class TestStackedErrors:
         lp = np.zeros((3, 4))
         lp[2, 1] = np.inf
         with pytest.raises(ValueError, match="axis log-priors must be finite"):
-            build_regions(axis16, lp, 1.0)
+            build_regions(axis16, lp, [1.0] * 3)
 
     def test_hand_built_table_takes_lower_only(self):
         """The table is its lower bounds; upper bounds come from upper_bounds."""
@@ -677,10 +659,10 @@ class TestStackedErrors:
     @pytest.mark.parametrize(
         "lower, message",
         [
-            ([1, 0, -1, -2], ROW_RULE),
-            ([1, 0, -1, np.nan], ROW_RULE),
-            ([1, np.inf, -1, -np.inf], ROW_RULE),
-            ([-np.inf], r"need \(L,\) or \(T, L\) lower bounds, L >= 2, got \(1,\)"),
+            ([[1, 0, -1, -2]], ROW_RULE),
+            ([[1, 0, -1, np.nan]], ROW_RULE),
+            ([[1, np.inf, -1, -np.inf]], ROW_RULE),
+            ([[-np.inf]], r"need \(T, L\) lower bounds, L >= 2, got \(1, 1\)"),
             (np.full((1, 1, 2), -np.inf), r"L >= 2, got \(1, 1, 2\)"),
         ],
         ids=["finite-last", "nan-last", "inf-inside", "one-level", "3d"],
@@ -690,7 +672,7 @@ class TestStackedErrors:
             DecisionRegions(lower)
 
     def test_nan_statistic_in_one_row(self, axis16):
-        regions = build_regions(axis16, np.zeros((3, 4)), 1.0)
+        regions = build_regions(axis16, np.zeros((3, 4)), [1.0] * 3)
         z = np.zeros((3, 5))
         z[1, 3] = np.nan
         with pytest.raises(ValueError, match="decision statistic is NaN"):
@@ -701,12 +683,11 @@ class TestStackedErrors:
         [
             (np.zeros((4, 4)), [1.0, 1.0, 1.0]),  # three gains for four tables
             (np.zeros((2, 4)), np.ones((2, 1))),  # gains not one per table
-            (np.zeros(4), [1.0, 1.0]),  # a single table with two gains
         ],
-        ids=["gain-count", "gain-shape", "single-table-gains"],
+        ids=["gain-count", "gain-shape"],
     )
     def test_gain_shape_mismatch(self, axis16, logp, gain):
-        with pytest.raises(ValueError, match="expected one gain or"):
+        with pytest.raises(ValueError, match="expected one gain per table"):
             build_regions(axis16, logp, gain)
 
     @pytest.mark.parametrize(
@@ -720,7 +701,7 @@ class TestStackedErrors:
         "z", [np.zeros((3, 5)), np.zeros(4), 0.5], ids=["rows", "flat", "scalar"]
     )
     def test_statistic_rows_mismatch(self, axis16, z):
-        regions = build_regions(axis16, np.zeros((4, 4)), 1.0)
+        regions = build_regions(axis16, np.zeros((4, 4)), [1.0] * 4)
         with pytest.raises(ValueError, match=r"one row of statistics per table \(4\)"):
             slice_statistic(regions, z)
 
@@ -742,3 +723,59 @@ class TestStackedErrors:
         )
         assert child.returncode == 0
         assert child.stdout == "non-finite crossover in the region table (gain 5e-324)\n"
+
+
+ONE_TABLE = [[1, 0, -1, -np.inf]]
+LOGP_SHAPE = r"expected 4 log-priors per table, \(T, 4\), got shape \(4,\)"
+GAIN_SHAPE = r"expected one gain per table, \(2,\), got shape \(\)"
+
+
+class TestOneShape:
+    """Every stage function takes one shape: ``(T, L)`` tables and
+    log-priors, ``(T,)`` gains, ``(T, n)`` statistics and ``(T, M)``
+    metrics.  A single table is the stack of one."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda pam: DecisionRegions([1, 0, -1, -np.inf]),
+             r"need \(T, L\) lower bounds, L >= 2, got \(4,\)"),
+            (lambda pam: build_regions(pam, np.zeros(4), [1.0]), LOGP_SHAPE),
+            (lambda pam: upper_bounds(pam, np.zeros(4), [1.0]), LOGP_SHAPE),
+            (lambda pam: build_regions(pam, np.zeros((2, 4)), 1.0), GAIN_SHAPE),
+            (lambda pam: upper_bounds(pam, np.zeros((2, 4)), 1.0), GAIN_SHAPE),
+            (lambda pam: slice_statistic(DecisionRegions(ONE_TABLE), 0.5),
+             r"one row of statistics per table \(1\), got shape \(\)"),
+            (lambda pam: slice_statistic(DecisionRegions(ONE_TABLE), np.zeros(3)),
+             r"one row of statistics per table \(1\), got shape \(3,\)"),
+            (lambda pam: llrs_from_metrics(np.zeros(16), build_constellation(16).split_bit_index),
+             r"one metric per labeled symbol required, in a \(T, M\) stack"),
+        ],
+        ids=["1d-lower", "1d-logp", "1d-logp-upper", "scalar-gain", "scalar-gain-upper",
+             "scalar-statistic", "1d-statistic", "1d-metrics"],
+    )
+    def test_single_table_form_named(self, axis16, call, message):
+        """The bare-table forms the stage functions once took beside the
+        stack fail by name."""
+        with pytest.raises(ValueError, match=message):
+            call(axis16)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda pam: build_regions(pam, [[0, 40j, 0, 0]], [1.0]), "axis log-priors"),
+            (lambda pam: build_regions(pam, np.zeros((1, 4)), [1 + 1j]), "gains"),
+            (lambda pam: upper_bounds(pam, [[0, 40j, 0, 0]], [1.0]), "axis log-priors"),
+            (lambda pam: slice_statistic(DecisionRegions(ONE_TABLE), [[0.5j]]),
+             "decision statistics"),
+            (lambda pam: DecisionRegions([[1, 0, -1j, -np.inf]]), "lower bounds"),
+        ],
+        ids=["build_regions", "build_regions-gains", "upper_bounds", "slice_statistic",
+             "DecisionRegions"],
+    )
+    def test_complex_input_named(self, axis16, call, message):
+        """Complex input is refused by name: a float cast would drop the
+        imaginary part with only a ComplexWarning, and build_regions would
+        return the zero-prior table for log-priors (0, 40j, 0, 0)."""
+        with pytest.raises(ValueError, match=f"{message} must be real, got complex values"):
+            call(axis16)

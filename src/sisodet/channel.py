@@ -291,11 +291,10 @@ def whiten(y, ch: ChannelRealization) -> WhitenedObservation:
     return WhitenedObservation(y=y_t, h1=h1, h2=h2)
 
 
-def generate_channel(rng: np.random.Generator, n_rx: int, n_tx: int) -> np.ndarray:
-    """Draw an i.i.d. circularly-symmetric Gaussian channel matrix."""
-    return (
-        rng.standard_normal((n_rx, n_tx)) + 1j * rng.standard_normal((n_rx, n_tx))
-    ) / np.sqrt(2.0)
+def generate_channel(rng: np.random.Generator, n_rx: int) -> np.ndarray:
+    """Draw an i.i.d. circularly-symmetric Gaussian ``(n_rx, 2)`` channel."""
+    shape = (n_rx, 2)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 def generate_noise(rng: np.random.Generator, noise) -> np.ndarray:

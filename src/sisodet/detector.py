@@ -13,10 +13,9 @@ is one stacked call per tone: ``table_inputs`` gives the four tables'
 log-priors (one ``axis_log_priors`` call) and gains, from which one
 ``build_regions`` call builds the tables, one ``slice_statistic`` call
 slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
-Each candidate metric adds the two symbols' ``symbol_log_priors``, the
-oracle's own priors, and subtracts a residual energy rounded as the
-oracle's is, so it is the oracle's pair metric for that pair, float for
-float.
+The 2M candidates are scored by ``priors.pair_metrics``, the kernel the
+exhaustive references in ``sisodet.oracle`` score every pair with, so
+each candidate metric is the oracle's for that pair, float for float.
 """
 
 from __future__ import annotations
@@ -27,7 +26,9 @@ import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
-from .priors import AprioriLLRs, axis_log_priors, real_array, symbol_log_priors
+from .priors import (
+    AprioriLLRs, axis_log_priors, pair_metrics, real_array, signature_products, symbol_log_priors
+)
 from .slicer import build_regions, slice_statistic
 
 
@@ -66,10 +67,6 @@ def llrs_from_metrics(metrics, split_index) -> np.ndarray:
     return best[:, :q] - best[:, q:]
 
 
-# Row index of each layer, for gathering per layer.
-_LAYER_ROWS = np.arange(2)[:, None]
-
-
 def table_inputs(obs: WhitenedObservation, pam: PamAxis, llrs: AprioriLLRs):
     """A tone's four interval tables' inputs ``(logp, gains)``: the ``(4, L)``
     axis log-priors and the four slicer gains, in table order.
@@ -93,8 +90,6 @@ def detect(
     labels.  The result matches the exhaustive pairwise max-log search.
     """
     regions = build_regions(c.real_axis, *table_inputs(obs, c.real_axis, llrs))
-    prior = symbol_log_priors(llrs, c)
-
     syms = c.symbols
     y, h1, h2 = obs.y, obs.h1, obs.h2
 
@@ -109,27 +104,16 @@ def detect(
     # Best partner amplitudes, one row per table, and the partner symbols'
     # indices: row 0 holds the layer-1 partners (tables 0 and 1), row 1 the
     # layer-2 ones.  Row 0 of the candidate pairs enumerates layer 1 against
-    # its sliced layer-2 partner, row 1 the reverse.  x1 holds each
-    # candidate's layer-1 symbol, x2 its layer-2.
+    # its sliced layer-2 partner, row 1 the reverse.
     owner = slice_statistic(
         regions, np.array([z_from_2.real, z_from_2.imag, z_from_1.real, z_from_1.imag])
     )
     partner = c.symbol_index[owner[0::2], owner[1::2]]
-    x1 = np.empty((2, c.M), dtype=complex)
-    x2 = np.empty((2, c.M), dtype=complex)
-    x1[0] = syms
-    x2[1] = syms
-    x1[1], x2[0] = syms[partner]
-    # Antenna axis first and each product written symbol * signature, as in
-    # the oracle's block kernel oracle._pair_metric_blocks: numpy can round
-    # h * x and x * h differently, and the LLRs match the oracle exactly at
-    # high SNR only while every residual is rounded the same way in both.
-    r = y[:, None, None] - x1 * h1[:, None, None] - x2 * h2[:, None, None]
-    energy = (np.abs(r) ** 2).sum(axis=0)
-
-    # Candidate metrics: enumerated prior, plus the partner's prior (the other
-    # layer's, hence the reversal), minus the residual energy.
-    eta = prior + prior[_LAYER_ROWS, partner][::-1] - energy
+    m = np.arange(c.M)
+    eta = pair_metrics(
+        obs, signature_products(obs, c), symbol_log_priors(llrs, c),
+        np.array((m, partner[0])), np.array((partner[1], m)),
+    )
     boundary_count = regions.boundary_count
     return DetectionResult(
         llrs=llrs_from_metrics(eta, c.split_bit_index),

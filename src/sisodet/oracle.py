@@ -8,10 +8,10 @@ from the whitened observation; they share the constellation and labeling
 (``split_bit_index`` selects each bit's hypotheses in both) with the fast
 detector but none of its slicing or projection machinery, which is what
 makes agreement between the two paths meaningful.  Every joint metric,
-the per-pair reference ``pair_metric_table`` included, comes from the one
-pair-metric expression in ``_pair_metric_blocks``.  Its symbol priors are
-``priors.symbol_log_priors``, which ``detect`` adds too: they belong to
-the labelling, not to the slicing.
+the per-pair reference ``pair_metric_table`` included, is scored in
+``_pair_metric_blocks`` by ``priors.pair_metrics``, the kernel ``detect``
+scores its candidates with: the pair metric belongs to the labelling and
+the observation, not to the slicing.
 The per-candidate references evaluate one projected residual, one
 slicing threshold or one slicing decision by its defining formula.
 """
@@ -22,7 +22,9 @@ import numpy as np
 
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
-from .priors import AprioriLLRs, finite_log_priors, symbol_log_priors
+from .priors import (
+    AprioriLLRs, finite_log_priors, pair_metrics, signature_products, symbol_log_priors
+)
 
 
 # Bytes of complex residual one block of the pair-metric table may hold.
@@ -38,22 +40,17 @@ def _pair_metric_blocks(obs: WhitenedObservation, c: Constellation, llrs: Aprior
     consecutive layer-1 rows at a time.
 
     A block's residual holds at most ``_BLOCK_BUDGET`` bytes, or one row
-    if a row alone is larger.  Every entry is the same floating expression
-    whatever the block height, so the blocks are bit-identical to slices
-    of the whole table.
+    if a row alone is larger.  The signature products are formed once for
+    all blocks and each block gathers its pairs from them, so the blocks
+    are bit-identical to slices of the whole table whatever their height.
     """
-    prior1, prior2 = symbol_log_priors(llrs, c)
-    # Each product written symbol * signature (see detector.detect), both
-    # formed once for all blocks.
-    partial = obs.y[:, None, None] - c.symbols[None, :, None] * obs.h1[:, None, None]
-    s2h2 = c.symbols[None, None, :] * obs.h2[:, None, None]
+    products = signature_products(obs, c)
+    prior = symbol_log_priors(llrs, c)
+    index = np.arange(c.M)
     height = max(1, _BLOCK_BUDGET // (16 * obs.y.size * c.M))
     for start in range(0, c.M, height):
         rows = slice(start, start + height)
-        # Antenna axis first, so the energy sums over whole contiguous
-        # (rows, M) slices instead of a short strided axis.
-        energy = (np.abs(partial[:, rows] - s2h2) ** 2).sum(axis=0)
-        yield rows, prior1[rows, None] + prior2[None, :] - energy
+        yield rows, pair_metrics(obs, products, prior, index[rows, None], index[None, :])
 
 
 def pair_metric_table(

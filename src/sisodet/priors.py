@@ -7,10 +7,10 @@ unnormalized log-prior per amplitude: ``logp[k] = sum_n b[n,k] * llr[n]``.
 The two axes of a square constellation are one ``PamAxis``, so one call
 gives all four tables of a tone (two layers times two axes).  For
 scoring, ``symbol_log_priors`` gives each symbol's log-prior from its
-whole label, the one expression both ``detect`` and the exhaustive
-search in ``sisodet.oracle`` add to a pair metric, so the two round
-every prior alike.  Only differences of these values ever matter, so the
-normalization constant is never computed.
+whole label, and ``pair_metrics``, the one pair-metric kernel that
+``detect`` and the references in ``sisodet.oracle`` both score with, adds
+two of them to minus a pair's residual energy.  Only differences of these
+values ever matter, so the normalization constant is never computed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
 
 # Bound on every LLR magnitude: it keeps the slicing thresholds finite.
@@ -106,6 +107,24 @@ def symbol_log_priors(llrs: AprioriLLRs, c: Constellation) -> np.ndarray:
     """
     check_llr_shape(llrs, c.real_axis)
     return np.matmul(llrs.values.reshape(2, 1, c.q), c.bit_weights.T).reshape(2, c.M)
+
+
+def signature_products(obs: WhitenedObservation, c: Constellation):
+    """A tone's ``(N_r, M)`` products ``symbol * h1`` and ``symbol * h2``."""
+    return c.symbols * obs.h1[:, None], c.symbols * obs.h2[:, None]
+
+
+def pair_metrics(obs: WhitenedObservation, products, prior, i1, i2) -> np.ndarray:
+    """Joint log-prior minus residual energy of the layer-1 symbols ``i1``
+    paired with the layer-2 symbols ``i2``, index arrays that broadcast to
+    two dimensions, from the tone's ``signature_products`` and
+    ``symbol_log_priors``.  The products are only gathered, as numpy may
+    round one formed anew differently, and ``take(..., axis=1)`` keeps the
+    antennas outermost, so the energy sums them in order.
+    """
+    s_h1, s_h2 = products
+    r = obs.y[:, None, None] - s_h1.take(i1, axis=1) - s_h2.take(i2, axis=1)
+    return prior[0].take(i1) + prior[1].take(i2) - (np.abs(r) ** 2).sum(axis=0)
 
 
 def real_array(values, what: str) -> np.ndarray:

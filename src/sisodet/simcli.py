@@ -173,7 +173,7 @@ def draw_tone(
     drawn with it shares, or a covariance, modelled for this tone alone.
     """
     model = noise_model(noise)
-    ch = make_channel(generate_channel(rng, model.covariance.shape[0], 2), model)
+    ch = make_channel(generate_channel(rng, model.covariance.shape[0]), model)
     bits = rng.integers(0, 2, size=(2, const.q))
     s = np.array(
         [bits_to_symbol(const, bits[0]), bits_to_symbol(const, bits[1])]

@@ -227,7 +227,7 @@ class TestAcceptance:
                 n_rx = (2, 3, 4)[i % 3]
                 Q = random_hermitian_pd(rng, n_rx)
                 ch = make_channel(
-                    generate_channel(rng, n_rx, 2), np.linalg.inv(Q)
+                    generate_channel(rng, n_rx), np.linalg.inv(Q)
                 )
                 y = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
                 s = rng.choice(const.symbols, 2)

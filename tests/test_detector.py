@@ -31,7 +31,7 @@ from helpers import build_regions_walk, random_tone
 
 
 def _noiseless_obs(rng, const, n_rx=2):
-    ch = make_channel(generate_channel(rng, n_rx, 2), np.eye(n_rx) * 0.05)
+    ch = make_channel(generate_channel(rng, n_rx), np.eye(n_rx) * 0.05)
     bits = rng.integers(0, 2, size=(2, const.q))
     idx = [int("".join(map(str, row)), 2) for row in bits]
     s = const.symbols[idx]
@@ -268,6 +268,28 @@ class TestDetect:
                 got = detect(obs, const, llrs).llrs
                 assert got.tobytes() == brute_force_maxlog(obs, const, llrs).tobytes(), (
                     n_rx, rho, snr, mu, t
+                )
+                clamped += bool(np.any(np.abs(llrs.values) == L_MAX))
+        assert clamped > 0
+
+    @pytest.mark.parametrize("M", VALID_ORDERS)
+    def test_bit_identical_to_oracle_one_and_eight_antennas(self, M):
+        """Seeded battery at one antenna, where the signatures are scalars,
+        and at eight, where the oracle reads the pair table in several row
+        blocks at M = 256: LLRs equal the exhaustive search's bit for bit,
+        mu = 200 included, which drives LLRs into the +-L_MAX clamp."""
+        const = build_constellation(M)
+        grid = itertools.product((1, 8), (-10.0, 10.0, 40.0, 120.0), (0.0, 4.0, 200.0))
+        clamped = 0
+        for i, (n_rx, snr, mu) in enumerate(grid):
+            for t in range(4):
+                rng = np.random.default_rng([66, M, i, t])
+                obs, llrs, _, _, _, _ = random_tone(
+                    rng, const, n_rx=n_rx, snr_db=snr, rho=0.5, mu=mu
+                )
+                got = detect(obs, const, llrs).llrs
+                assert got.tobytes() == brute_force_maxlog(obs, const, llrs).tobytes(), (
+                    n_rx, snr, mu, t
                 )
                 clamped += bool(np.any(np.abs(llrs.values) == L_MAX))
         assert clamped > 0

@@ -19,7 +19,7 @@ from sisodet import (
 from sisodet import oracle
 from sisodet.channel import cholesky_factor
 from sisodet.oracle import _logsumexp, log_map, pair_metric_table, quadratic_norm
-from sisodet.priors import L_MAX
+from sisodet.priors import L_MAX, signature_products, symbol_log_priors
 from helpers import (
     log_map_reference,
     pair_metric_table_reference,
@@ -102,6 +102,29 @@ class TestPairMetricTable:
             np.testing.assert_array_equal(
                 pair_metric_table(obs, const, llrs),
                 pair_metric_table_reference(obs, const, llrs),
+            )
+
+    @pytest.mark.parametrize("n_rx", [8, 12])
+    @pytest.mark.parametrize("M", [4, 16, 64, 256])
+    def test_antennas_summed_in_order(self, M, n_rx):
+        """From 8 antennas numpy would sum a contiguous antenna axis
+        pairwise; the table must still add the antennas' energies one by
+        one, left to right, bit for bit."""
+        rng = np.random.default_rng([67, M, n_rx])
+        const = build_constellation(M)
+        for t in range(6 if M < 256 else 2):
+            obs, llrs, _, _, _, _ = random_tone(
+                rng, const, n_rx=n_rx, snr_db=rng.uniform(-10.0, 40.0),
+                rho=0.5, mu=(0.0, 4.0)[t % 2],
+            )
+            s_h1, s_h2 = signature_products(obs, const)
+            energy = 0.0
+            for a in range(n_rx):
+                energy = energy + np.abs(obs.y[a] - s_h1[a][:, None] - s_h2[a][None, :]) ** 2
+            prior = symbol_log_priors(llrs, const)
+            np.testing.assert_array_equal(
+                pair_metric_table(obs, const, llrs),
+                prior[0][:, None] + prior[1][None, :] - energy,
             )
 
     @pytest.mark.parametrize("M", [4, 16, 64, 256])

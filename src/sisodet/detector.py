@@ -15,7 +15,9 @@ log-priors (one ``axis_log_priors`` call) and gains, from which one
 slices them, and one ``llrs_from_metrics`` call gives both layers' LLRs.
 The 2M candidates are scored by ``priors.pair_metrics``, the kernel the
 exhaustive references in ``sisodet.oracle`` score every pair with, so
-each candidate metric is the oracle's for that pair, float for float.
+each candidate metric is the oracle's for that pair, float for float, and
+``priors.llrs_from_metrics`` is the exhaustive max-log search's LLR stage
+too: the two differ only in how each symbol's best partner is found.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import numpy as np
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
 from .priors import (
-    AprioriLLRs, axis_log_priors, pair_metrics, real_array, signature_products, symbol_log_priors
+    AprioriLLRs, axis_log_priors, llrs_from_metrics, pair_metrics, signature_products,
+    symbol_log_priors,
 )
 from .slicer import build_regions, slice_statistic
 
@@ -46,25 +49,6 @@ class DetectionResult:
     candidate_metric_count: int
     boundary_count: int
     total_metric_count: int
-
-
-def llrs_from_metrics(metrics, split_index) -> np.ndarray:
-    """Per-bit LLRs: best metric with the bit set minus best with it clear.
-
-    ``metrics`` is a real ``(T, M)`` stack, one row of per-symbol metrics
-    per layer; the LLRs are ``(T, q)``.  ``split_index`` is a
-    constellation's ``split_bit_index``: ``(2q, M/2)`` symbol indices, the
-    symbols with bit n set in row n and those with it clear in row q + n.
-    Each best metric is the maximum of one gathered row, so it is exact:
-    the same float a scan over all M symbols finds.
-    """
-    metrics = real_array(metrics, "metrics")
-    index = np.asarray(split_index)
-    if metrics.ndim != 2 or metrics.shape[1] != 2 * index.shape[1]:
-        raise ValueError("one metric per labeled symbol required, in a (T, M) stack")
-    q = index.shape[0] // 2
-    best = np.maximum.reduce(metrics.take(index, axis=1), axis=2)
-    return best[:, :q] - best[:, q:]
 
 
 def table_inputs(obs: WhitenedObservation, pam: PamAxis, llrs: AprioriLLRs):

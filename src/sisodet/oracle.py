@@ -10,8 +10,10 @@ detector but none of its slicing or projection machinery, which is what
 makes agreement between the two paths meaningful.  Every joint metric,
 the per-pair reference ``pair_metric_table`` included, is scored in
 ``_pair_metric_blocks`` by ``priors.pair_metrics``, the kernel ``detect``
-scores its candidates with: the pair metric belongs to the labelling and
-the observation, not to the slicing.
+scores its candidates with, and ``brute_force_maxlog`` ends in
+``priors.llrs_from_metrics``, the LLR stage ``detect`` ends in: the pair
+metric and the per-bit reduction belong to the labelling and the
+observation, not to the slicing.
 The per-candidate references evaluate one projected residual, one
 slicing threshold or one slicing decision by its defining formula.
 """
@@ -23,7 +25,8 @@ import numpy as np
 from .channel import WhitenedObservation
 from .constellation import Constellation, PamAxis
 from .priors import (
-    AprioriLLRs, finite_log_priors, pair_metrics, signature_products, symbol_log_priors
+    AprioriLLRs, finite_log_priors, llrs_from_metrics, pair_metrics, signature_products,
+    symbol_log_priors,
 )
 
 
@@ -73,9 +76,10 @@ def brute_force_maxlog(
 
     The pair metrics are reduced block by block, to row maxima and a
     running column maximum, so the (M, M) table is never held.  Each
-    layer's best metric per symbol is then gathered by the labelling's
-    ``split_bit_index`` and reduced to the best with each bit set and
-    clear.  Returns the (2, q) LLR array.
+    layer's best metric per symbol then goes through
+    ``priors.llrs_from_metrics``, the LLR stage ``detect`` ends in, so the
+    two searches differ only in how each symbol's partner is found.
+    Returns the (2, q) LLR array.
     """
     best = np.empty((2, c.M))
     best[1] = -np.inf
@@ -83,8 +87,7 @@ def brute_force_maxlog(
         block.max(axis=1, out=best[0, rows])
         # np.maximum propagates NaN as the max over the whole table does.
         np.maximum(best[1], block.max(axis=0), out=best[1])
-    per_bit = np.maximum.reduce(best.take(c.split_bit_index, axis=-1), axis=-1)
-    return per_bit[:, : c.q] - per_bit[:, c.q :]
+    return llrs_from_metrics(best, c.split_bit_index)
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -9,8 +9,11 @@ gives all four tables of a tone (two layers times two axes).  For
 scoring, ``symbol_log_priors`` gives each symbol's log-prior from its
 whole label, and ``pair_metrics``, the one pair-metric kernel that
 ``detect`` and the references in ``sisodet.oracle`` both score with, adds
-two of them to minus a pair's residual energy.  Only differences of these
-values ever matter, so the normalization constant is never computed.
+two of them to minus a pair's residual energy.  ``llrs_from_metrics``, the
+one LLR stage of ``detect`` and the exhaustive max-log search, reduces each
+layer's per-symbol best metrics to the best with each bit set minus the
+best with it clear.  Only differences of these values ever matter, so the
+normalization constant is never computed.
 """
 
 from __future__ import annotations
@@ -125,6 +128,25 @@ def pair_metrics(obs: WhitenedObservation, products, prior, i1, i2) -> np.ndarra
     s_h1, s_h2 = products
     r = obs.y[:, None, None] - s_h1.take(i1, axis=1) - s_h2.take(i2, axis=1)
     return prior[0].take(i1) + prior[1].take(i2) - (np.abs(r) ** 2).sum(axis=0)
+
+
+def llrs_from_metrics(metrics, split_index) -> np.ndarray:
+    """Per-bit LLRs: best metric with the bit set minus best with it clear.
+
+    ``metrics`` is a real ``(T, M)`` stack, one row of per-symbol metrics
+    per layer; the LLRs are ``(T, q)``.  ``split_index`` is a
+    constellation's ``split_bit_index``: ``(2q, M/2)`` symbol indices, the
+    symbols with bit n set in row n and those with it clear in row q + n.
+    Each best metric is the maximum of one gathered row, so it is exact:
+    the same float a scan over all M symbols finds.
+    """
+    metrics = real_array(metrics, "metrics")
+    index = np.asarray(split_index)
+    if metrics.ndim != 2 or metrics.shape[1] != 2 * index.shape[1]:
+        raise ValueError("one metric per labeled symbol required, in a (T, M) stack")
+    q = index.shape[0] // 2
+    best = np.maximum.reduce(metrics.take(index, axis=1), axis=2)
+    return best[:, :q] - best[:, q:]
 
 
 def real_array(values, what: str) -> np.ndarray:

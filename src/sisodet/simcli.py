@@ -365,10 +365,15 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
     """Dump the four prior-shifted interval tables as CSV.
 
     The slicer gains come from the first tone of the configured stream
-    (channel drawn from the seed, noise covariance from the first SNR),
-    so the dump matches what detection on that tone would use.
+    (channel drawn from the seed, noise covariance from the one SNR), so
+    the dump matches what detection on that tone would use.  More than one
+    SNR is a usage error, as only one tone is drawn.
     """
     cfg.validate()
+    if len(cfg.snr_db_list) != 1:
+        raise UsageError(
+            f"snr_db (--snr-db) must be one SNR for regions, got {list(cfg.snr_db_list)}"
+        )
     const = build_constellation(cfg.M)
     llr_arr = np.asarray(llr_values, dtype=float)
     if llr_arr.size != 2 * const.q:
@@ -569,7 +574,10 @@ def _build_parser() -> argparse.ArgumentParser:
         flags.add_argument(
             "--config", type=str, default=None, help="key=value file overriding flags"
         )
-        flags.add_argument("--snr-db", type=str, default="10", help="comma list of SNRs")
+        flags.add_argument(
+            "--snr-db", type=str, default="10",
+            help="comma list of SNRs" if sweep else "SNR of the one tone, in dB",
+        )
         if sweep:
             flags.add_argument("--mu", type=str, default="0", help="comma list of mu values")
         return flags

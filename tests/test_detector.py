@@ -39,6 +39,28 @@ def _noiseless_obs(rng, const, n_rx=2):
     return obs, bits, s
 
 
+def record_llr_stage_metrics(monkeypatch) -> list:
+    """Record the ``(2, M)`` metrics each ``detect`` call passes to its LLR
+    stage: ``sisodet.detector.llrs_from_metrics`` appends them to the list."""
+    seen = []
+    stage = detector.llrs_from_metrics
+
+    def recorded(metrics, split_index):
+        seen.append(metrics)
+        return stage(metrics, split_index)
+
+    monkeypatch.setattr(detector, "llrs_from_metrics", recorded)
+    return seen
+
+
+def assert_oracle_partners(metrics, obs, const, llrs):
+    """Each symbol's metric in ``detect`` is its best pair metric over all
+    partners, byte for byte: layer 1's the pair table's row maxima, layer
+    2's its column maxima."""
+    table = pair_metric_table(obs, const, llrs)
+    assert metrics.tobytes() == np.stack([table.max(axis=1), table.max(axis=0)]).tobytes()
+
+
 class TestResidualStatistic:
     def test_perfect_cancellation_recovers_partner(self):
         """With no noise and the true symbol canceled, Z is the partner."""
@@ -246,8 +268,10 @@ class TestDetect:
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("M", VALID_ORDERS)
-    def test_bit_identical_to_oracle(self, M):
-        """Seeded battery: LLRs equal the exhaustive search's bit for bit.
+    def test_bit_identical_to_oracle(self, M, monkeypatch):
+        """Seeded battery: LLRs equal the exhaustive search's bit for bit,
+        and so does every symbol's best metric, the paper's claim: the
+        sliced partner scores what the best of all M partners scores.
 
         Both add the same ``symbol_log_priors`` and subtract the same rounded
         residual energy, so every candidate metric is the oracle's pair
@@ -255,6 +279,7 @@ class TestDetect:
         -100 to 300 dB, and mu = 200 drives LLRs into the +-L_MAX clamp.
         """
         const = build_constellation(M)
+        seen = record_llr_stage_metrics(monkeypatch)
         grid = itertools.product(
             (2, 4), (0.0, 0.9), (-100.0, 0.0, 10.0, 20.0, 120.0, 300.0), (0.0, 4.0, 16.0, 200.0)
         )
@@ -269,16 +294,19 @@ class TestDetect:
                 assert got.tobytes() == brute_force_maxlog(obs, const, llrs).tobytes(), (
                     n_rx, rho, snr, mu, t
                 )
+                assert_oracle_partners(seen.pop(), obs, const, llrs)
                 clamped += bool(np.any(np.abs(llrs.values) == L_MAX))
         assert clamped > 0
 
     @pytest.mark.parametrize("M", VALID_ORDERS)
-    def test_bit_identical_to_oracle_one_and_eight_antennas(self, M):
+    def test_bit_identical_to_oracle_one_and_eight_antennas(self, M, monkeypatch):
         """Seeded battery at one antenna, where the signatures are scalars,
         and at eight, where the oracle reads the pair table in several row
-        blocks at M = 256: LLRs equal the exhaustive search's bit for bit,
-        mu = 200 included, which drives LLRs into the +-L_MAX clamp."""
+        blocks at M = 256: LLRs and every symbol's best metric equal the
+        exhaustive search's bit for bit, mu = 200 included, which drives
+        LLRs into the +-L_MAX clamp."""
         const = build_constellation(M)
+        seen = record_llr_stage_metrics(monkeypatch)
         grid = itertools.product((1, 8), (-10.0, 10.0, 40.0, 120.0), (0.0, 4.0, 200.0))
         clamped = 0
         for i, (n_rx, snr, mu) in enumerate(grid):
@@ -291,6 +319,7 @@ class TestDetect:
                 assert got.tobytes() == brute_force_maxlog(obs, const, llrs).tobytes(), (
                     n_rx, snr, mu, t
                 )
+                assert_oracle_partners(seen.pop(), obs, const, llrs)
                 clamped += bool(np.any(np.abs(llrs.values) == L_MAX))
         assert clamped > 0
 

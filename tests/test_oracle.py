@@ -85,6 +85,24 @@ class TestBruteForce:
             np.testing.assert_array_equal(brute_force_maxlog(obs, const, llrs), expected)
         assert negative_zeros > 0
 
+    @pytest.mark.parametrize("M", [4, 256])
+    def test_one_call_to_the_shared_llr_stage(self, M, monkeypatch):
+        """One call reduces both layers' best metrics with exactly one call
+        to the LLR stage ``detect`` ends in, through the name
+        ``sisodet.oracle`` imports: the per-bit reduction has no second copy."""
+        const = build_constellation(M)
+        obs, llrs, _, _, _, _ = random_tone(np.random.default_rng([67, M]), const, mu=4.0)
+        shapes = []
+        stage = oracle.llrs_from_metrics
+
+        def counted(metrics, split_index):
+            shapes.append(metrics.shape)
+            return stage(metrics, split_index)
+
+        monkeypatch.setattr(oracle, "llrs_from_metrics", counted)
+        brute_force_maxlog(obs, const, llrs)
+        assert shapes == [(2, M)]
+
 
 class TestPairMetricTable:
     @pytest.mark.parametrize("n_rx", range(2, 8))

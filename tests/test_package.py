@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 import sisodet
+import sisodet.detector
 import sisodet.oracle
+import sisodet.priors
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(sisodet.__file__).resolve().parents[1]))
 
@@ -95,7 +97,7 @@ STAGES = {
     "axis_log_priors": "sisodet.priors",
     "build_regions": "sisodet.slicer",
     "cholesky_factor": "sisodet.channel",
-    "llrs_from_metrics": "sisodet.detector",
+    "llrs_from_metrics": "sisodet.priors",
     "slice_statistic": "sisodet.slicer",
 }
 ORACLES = (
@@ -143,6 +145,13 @@ def test_oracle_imports_no_detector_code():
     for name in imported:
         for forbidden in ("sisodet.slicer", "sisodet.detector"):
             assert name != forbidden and not name.startswith(forbidden + "."), name
+
+
+def test_detect_and_oracle_share_the_llr_stage():
+    """``detect`` and ``brute_force_maxlog`` end in one LLR stage, the
+    function ``sisodet.priors`` defines, each through its own import."""
+    assert sisodet.detector.llrs_from_metrics is sisodet.priors.llrs_from_metrics
+    assert sisodet.oracle.llrs_from_metrics is sisodet.priors.llrs_from_metrics
 
 
 def test_test_modules_name_package_modules():

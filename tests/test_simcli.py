@@ -176,6 +176,39 @@ class TestRunRegions:
         with pytest.raises(UsageError):
             run_regions(small_config(M=16), np.zeros(6))
 
+    def test_snr_range_checked_before_count(self):
+        """The count is checked after ``SimConfig.validate``, so an SNR out
+        of range is reported as such, even in a list of two."""
+        with pytest.raises(UsageError, match=r"values must lie in \[-100, 300\] dB"):
+            run_regions(small_config(snr_db_list=(0.0, 5000.0)), np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "flags, config, got",
+        [
+            (["--snr-db", "0,30"], None, "[0.0, 30.0]"),
+            (["--snr-db", "10,10"], None, "[10.0, 10.0]"),
+            ([], "snr_db = 0, 30\n", "[0.0, 30.0]"),
+        ],
+        ids=["flag", "flag-duplicate", "config"],
+    )
+    def test_several_snrs_exit_two(self, flags, config, got, tmp_path, capsys):
+        """One tone is drawn, so a second SNR, from the flag or the config
+        key, is a usage error rather than dropped unread."""
+        if config is not None:
+            path = tmp_path / "regions.cfg"
+            path.write_text(config)
+            flags = ["--config", str(path)]
+        assert main(["regions", "--M", "4", "--llr", "0,0,0,0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: snr_db (--snr-db) must be one SNR for regions, got {got}\n"
+
+    def test_help_says_one_snr(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["regions", "--help"])
+        assert exit_.value.code == 0
+        assert "SNR of the one tone, in dB" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize(
         "M, llr, digest",
         [

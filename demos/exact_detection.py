@@ -9,6 +9,7 @@ magnitude.
 import numpy as np
 
 from sisodet import brute_force_maxlog, build_constellation, detect
+from sisodet.channel import NoiseModel
 from sisodet.simcli import draw_tone, noise_covariance, sigma2_from_snr_db
 
 rng = np.random.default_rng(2024)
@@ -17,9 +18,9 @@ const = build_constellation(M)
 
 # A random 2x2 channel with correlated noise at 12 dB SNR carries two
 # random symbols; the decoder feedback stand-in draws LLRs around the
-# true bits.
-C = noise_covariance(sigma2_from_snr_db(12.0), rho=0.5, n_rx=2)
-tone = draw_tone(rng, const, C, mu=3.0)
+# true bits.  Every tone shares one noise model, built once.
+noise = NoiseModel(noise_covariance(sigma2_from_snr_db(12.0), rho=0.5, n_rx=2))
+tone = draw_tone(rng, const, noise, mu=3.0)
 obs, llrs, bits = tone.obs, tone.llrs, tone.bits
 
 result = detect(obs, const, llrs)
@@ -42,7 +43,7 @@ print(f"  exhaustive      : {M * M} joint metrics")
 # The agreement is not luck: sweep a batch of random tones.
 worst = 0.0
 for t in range(500):
-    tone = draw_tone(np.random.default_rng([77, t]), const, C, mu=float(t % 5))
+    tone = draw_tone(np.random.default_rng([77, t]), const, noise, mu=float(t % 5))
     obs, llrs = tone.obs, tone.llrs
     d = np.max(np.abs(detect(obs, const, llrs).llrs - brute_force_maxlog(obs, const, llrs)))
     worst = max(worst, float(d))

@@ -8,6 +8,7 @@ then confirms the model against counters measured on real detections.
 import numpy as np
 
 from sisodet import build_constellation, clamp, detect, predicted_counts
+from sisodet.channel import NoiseModel
 from sisodet.simcli import draw_tone, run_complexity
 
 N_RX = 2
@@ -21,7 +22,7 @@ print(run_complexity((4, 16, 64, 256), N_RX)[1])
 M = 16
 const = build_constellation(M)
 ceiling = predicted_counts("proposed", M, N_RX).metrics
-tone = draw_tone(np.random.default_rng(5), const, np.eye(N_RX) * 0.25, mu=0.0)
+tone = draw_tone(np.random.default_rng(5), const, NoiseModel(np.eye(N_RX) * 0.25), mu=0.0)
 
 plain = detect(tone.obs, const, tone.llrs).total_metric_count
 print(f"measured, M={M}, no feedback:")

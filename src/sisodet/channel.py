@@ -8,11 +8,9 @@ noise-precision-weighted norm becomes a plain Euclidean norm.
 
 A ``NoiseModel`` holds what one covariance costs to prepare, all built
 when the model is: the covariance, its Cholesky factor (for drawing
-noise) and the whitener of its precision.  Every function that takes a
-noise covariance also takes a model, so a caller whose tones share a
-covariance builds the model once and passes it; an array is turned into
-a model on each call.  ``cholesky_factor`` is the checked factorization
-behind both the factor and the whitener.
+noise) and the whitener of its precision.  It is the one noise form:
+only ``make_channel`` also takes a covariance, which it models for that
+tone alone.  ``cholesky_factor`` runs only when a model is built.
 """
 
 from __future__ import annotations
@@ -138,11 +136,6 @@ class NoiseModel:
             object.__setattr__(self, name, arr)
 
 
-def noise_model(noise) -> NoiseModel:
-    """``noise`` if it is a ``NoiseModel``, else the model of the covariance."""
-    return noise if isinstance(noise, NoiseModel) else NoiseModel(noise)
-
-
 @dataclass(frozen=True)
 class ChannelRealization:
     """Per-tone channel state known to the receiver.
@@ -219,9 +212,8 @@ def make_channel(channel, noise) -> ChannelRealization:
 
     The channel is copied, so changing the caller's array afterwards
     leaves the realization alone.  ``noise`` is a ``NoiseModel``, reused as
-    it is, or a covariance, which is modelled here: factored, which checks
-    it, and its precision factored into the whitener.  A tone built from an
-    array thus costs two factorizations, and one built from a model none.
+    it is, or a covariance, from which a model is built for this tone
+    alone: two factorizations, where a model costs none.
 
     Raises:
         ValueError: If the channel is not ``(N_r, 2)`` or has a non-finite
@@ -234,7 +226,7 @@ def make_channel(channel, noise) -> ChannelRealization:
         raise ValueError(f"expected an (N_r, 2) channel matrix, got shape {H.shape}")
     if not all(map(cmath.isfinite, H.ravel().tolist())):
         raise ValueError("channel matrix contains non-finite values")
-    model = noise_model(noise)
+    model = noise if isinstance(noise, NoiseModel) else NoiseModel(noise)
     n_rx = H.shape[0]
     if model.covariance.shape != (n_rx, n_rx):
         raise ValueError(
@@ -297,13 +289,15 @@ def generate_channel(rng: np.random.Generator, n_rx: int) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def generate_noise(rng: np.random.Generator, noise) -> np.ndarray:
-    """Draw one zero-mean complex Gaussian vector with the given covariance.
+def generate_noise(rng: np.random.Generator, model: NoiseModel) -> np.ndarray:
+    """Draw one zero-mean complex Gaussian vector with the model's
+    covariance, coloured by its Cholesky factor.
 
-    ``noise`` is a ``NoiseModel``, whose stored Cholesky factor colours
-    the draw, or a covariance, which is factored once for this one draw.
+    Raises:
+        TypeError: If ``model`` is not a ``NoiseModel``.
     """
-    G = noise.factor if isinstance(noise, NoiseModel) else cholesky_factor(noise)
-    n = G.shape[0]
+    if not isinstance(model, NoiseModel):
+        raise TypeError(f"expected a NoiseModel(covariance), got {type(model).__name__}")
+    n = model.factor.shape[0]
     w = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    return G @ w
+    return model.factor @ w

@@ -44,7 +44,6 @@ from .channel import (
     generate_channel,
     generate_noise,
     make_channel,
-    noise_model,
     transmit,
     whiten,
 )
@@ -161,7 +160,7 @@ def tone_rng(seed: int, point_index: int, tone_index: int) -> np.random.Generato
 def draw_tone(
     rng: np.random.Generator,
     const: Constellation,
-    noise: NoiseModel | np.ndarray,
+    model: NoiseModel,
     mu: float,
 ) -> ToneData:
     """Draw one random tone: channel, bits, noise, then genie feedback.
@@ -169,10 +168,13 @@ def draw_tone(
     The channel is an i.i.d. ``(N_r, 2)`` Gaussian matrix, one column per
     layer, with the receive antenna count taken from the covariance.  The
     draws are made in a fixed order from ``rng``, so one stream gives one
-    tone.  ``noise`` is a ``NoiseModel``, whose factorizations every tone
-    drawn with it shares, or a covariance, modelled for this tone alone.
+    tone.  Every tone drawn with one model shares its factorizations.
+
+    Raises:
+        TypeError: If ``model`` is not a ``NoiseModel``.
     """
-    model = noise_model(noise)
+    if not isinstance(model, NoiseModel):
+        raise TypeError(f"expected a NoiseModel(covariance), got {type(model).__name__}")
     ch = make_channel(generate_channel(rng, model.covariance.shape[0]), model)
     bits = rng.integers(0, 2, size=(2, const.q))
     s = np.array(
@@ -385,8 +387,8 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
     except ValueError as err:
         raise UsageError(str(err)) from None
 
-    C = noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx)
-    obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0]).obs
+    model = NoiseModel(noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx))
+    obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, model, cfg.mu_list[0]).obs
     pam = const.real_axis
     logp, gains = table_inputs(obs, pam, llrs)
     regions = build_regions(pam, logp, gains)

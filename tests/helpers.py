@@ -42,7 +42,7 @@ def random_tone(
 ):
     """One random transmission: returns (obs, llrs, bits, channel, y, C)."""
     C = noise_covariance(sigma2_from_snr_db(snr_db), rho, n_rx)
-    tone = draw_tone(rng, const, C, mu)
+    tone = draw_tone(rng, const, channel.NoiseModel(C), mu)
     return tone.obs, tone.llrs, tone.bits, tone.channel, tone.y, C
 
 

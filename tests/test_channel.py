@@ -219,10 +219,10 @@ class TestNormBound:
         """The top of the CLI's SNR range with strongly correlated noise,
         the largest whitened tones it can draw, is a hundred orders of
         magnitude inside the bound."""
-        C = noise_covariance(sigma2_from_snr_db(300.0), 0.9, n_rx)
+        model = NoiseModel(noise_covariance(sigma2_from_snr_db(300.0), 0.9, n_rx))
         const = build_constellation(256)
         for t in range(20):
-            obs = draw_tone(np.random.default_rng([72, n_rx, t]), const, C, 0.0).obs
+            obs = draw_tone(np.random.default_rng([72, n_rx, t]), const, model, 0.0).obs
             assert _norm_bound(obs.y, obs.h1, obs.h2) < 1e-100 * MAX_NORM_BOUND
 
 
@@ -234,8 +234,8 @@ class TestNoiseModel:
         """The model holds the covariance's factor and the whitener of its
         symmetrized inverse exactly as they are computed from the array; one
         model reused over several tones gives, bit for bit, the channel,
-        whitened tone, noise draws and LLRs that passing the array to each
-        call gives."""
+        whitened tone and LLRs that passing the array to ``make_channel``
+        for each tone gives."""
         C = noise_covariance(sigma2_from_snr_db(snr_db), rho, n_rx)
         model = NoiseModel(C)
         Q = np.linalg.inv(C)
@@ -248,7 +248,6 @@ class TestNoiseModel:
         rng = np.random.default_rng([73, n_rx, int(10 * rho), int(snr_db) + 100])
         for t in range(4):
             n = generate_noise(np.random.default_rng([74, t]), model)
-            np.testing.assert_array_equal(n, generate_noise(np.random.default_rng([74, t]), C))
             H = generate_channel(rng, n_rx)
             from_model, from_array = make_channel(H, model), make_channel(H, C)
             np.testing.assert_array_equal(from_model.effective_channel, from_array.effective_channel)
@@ -297,22 +296,14 @@ class TestNoiseModel:
         whiten(np.ones(2), ch)
         assert len(calls) == 2
 
-    def test_array_noise_draw_factors_once(self, monkeypatch):
+    def test_prebuilt_model_draws_factor_nothing(self, monkeypatch):
+        """Drawing noise or a whole tone from a built model reads its
+        stored factorizations and makes none."""
+        model = NoiseModel(noise_covariance(0.1, 0.5, 3))
         calls = count_cholesky(monkeypatch)
-        generate_noise(np.random.default_rng(0), np.eye(2))
-        assert len(calls) == 1
-
-    def test_array_noise_draw_needs_no_precision(self, monkeypatch):
-        """A covariance that factors but whose inverse overflows cannot
-        make a model, yet a noise draw from it, which needs only its
-        factor, still succeeds with one factorization."""
-        C = np.diag([1e-310, 1.0])
-        with pytest.raises(ValueError, match="noise precision is not finite"):
-            make_channel(np.eye(2, dtype=complex), C)
-        calls = count_cholesky(monkeypatch)
-        n = generate_noise(np.random.default_rng(0), C)
-        assert len(calls) == 1
-        assert np.isfinite(n).all() and abs(n[0]) < 1e-150
+        generate_noise(np.random.default_rng(0), model)
+        draw_tone(np.random.default_rng(1), build_constellation(16), model, 2.0)
+        assert len(calls) == 0
 
     def test_reused_model_factors_twice_in_all(self, monkeypatch):
         """Tones sharing a model share its two factorizations."""
@@ -376,8 +367,9 @@ class TestGenerators:
         a = generate_channel(np.random.default_rng(9), 2)
         b = generate_channel(np.random.default_rng(9), 2)
         np.testing.assert_array_equal(a, b)
-        na = generate_noise(np.random.default_rng(9), np.eye(2))
-        nb = generate_noise(np.random.default_rng(9), np.eye(2))
+        model = NoiseModel(np.eye(2))
+        na = generate_noise(np.random.default_rng(9), model)
+        nb = generate_noise(np.random.default_rng(9), model)
         np.testing.assert_array_equal(na, nb)
 
     def test_channel_unit_entry_variance(self):
@@ -392,13 +384,20 @@ class TestGenerators:
         """Sample covariance of many draws lands within 5% of the target."""
         rng = np.random.default_rng(11)
         C = np.array([[2.0, 0.8 + 0.3j], [0.8 - 0.3j, 1.0]])
-        draws = np.array([generate_noise(rng, C) for _ in range(100_000)])
+        model = NoiseModel(C)
+        draws = np.array([generate_noise(rng, model) for _ in range(100_000)])
         sample = draws.T @ draws.conj() / draws.shape[0]
         assert np.abs(sample - C).max() <= 0.05 * np.abs(C).max()
 
     def test_zero_covariance_rejected(self):
         with pytest.raises(Exception, match="positive definite"):
-            generate_noise(np.random.default_rng(0), np.zeros((2, 2)))
+            generate_noise(np.random.default_rng(0), NoiseModel(np.zeros((2, 2))))
+
+    def test_covariance_array_refused_by_name(self):
+        """A covariance is not a noise model: the draw names the form it
+        takes rather than failing on a missing attribute."""
+        with pytest.raises(TypeError, match=r"expected a NoiseModel\(covariance\), got ndarray"):
+            generate_noise(np.random.default_rng(0), np.eye(2))
 
 
 class TestMakeChannel:

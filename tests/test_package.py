@@ -43,6 +43,7 @@ sys.modules["scipy"] = None  # every `import scipy...` now raises ImportError
 
 import numpy as np
 from sisodet import build_constellation
+from sisodet.channel import NoiseModel
 from sisodet.oracle import log_map
 from sisodet.simcli import draw_tone, main, noise_covariance, sigma2_from_snr_db, tone_rng
 
@@ -57,7 +58,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     statuses = [main(argv) for argv in runs]
 const = build_constellation(16)
 C = noise_covariance(sigma2_from_snr_db(10.0), 0.5, 2)
-tone = draw_tone(tone_rng(1, 0, 0), const, C, 4.0)
+tone = draw_tone(tone_rng(1, 0, 0), const, NoiseModel(C), 4.0)
 print(statuses, bool(np.isfinite(log_map(tone.obs, const, tone.llrs)).all()))
 """
 

@@ -12,6 +12,7 @@ import pytest
 
 import sisodet
 from sisodet import build_constellation, clamp, detect, uniform_priors
+from sisodet.channel import NoiseModel
 from sisodet.oracle import pairwise_boundary
 from sisodet.priors import axis_log_priors
 from sisodet.simcli import (
@@ -71,11 +72,10 @@ class TestRunSimulate:
         status, records, _ = run_simulate(cfg)
         assert status == 0
         const = build_constellation(16)
-        sigma2 = sigma2_from_snr_db(8.0)
+        model = NoiseModel(noise_covariance(sigma2_from_snr_db(8.0), cfg.rho, cfg.n_rx))
         errors = 0
         for t in range(cfg.tones):
-            C = noise_covariance(sigma2, cfg.rho, cfg.n_rx)
-            data = draw_tone(tone_rng(cfg.seed, 0, t), const, C, 0.0)
+            data = draw_tone(tone_rng(cfg.seed, 0, t), const, model, 0.0)
             result = detect(data.obs, const, uniform_priors(const.q))
             errors += int(np.sum((result.llrs > 0).astype(int) != data.bits))
         assert records[0].bit_errors_detector == errors
@@ -155,8 +155,8 @@ class TestRunRegions:
         cfg = small_config(M=M, snr_db_list=(snr_db,))
         const = build_constellation(M)
         pam = const.real_axis
-        C = noise_covariance(sigma2_from_snr_db(snr_db), cfg.rho, cfg.n_rx)
-        obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, C, cfg.mu_list[0]).obs
+        model = NoiseModel(noise_covariance(sigma2_from_snr_db(snr_db), cfg.rho, cfg.n_rx))
+        obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, model, cfg.mu_list[0]).obs
         llrs = clamp(np.reshape(np.asarray(llr, float), (2, const.q)))
         gains = (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
         walk = build_regions_walk(pam, axis_log_priors(llrs, pam), gains)
@@ -210,27 +210,36 @@ class TestRunRegions:
         assert "SNR of the one tone, in dB" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize(
-        "M, llr, digest",
+        "M, llr, flags, digest",
         [
-            ("4", "0,0,0,-45", "c92a140eb88ac2cd181d0f63cbb311cc97bb388d6aace19b20bb8063f48154e9"),
+            ("4", "0,0,0,-45", (), "c92a140eb88ac2cd181d0f63cbb311cc97bb388d6aace19b20bb8063f48154e9"),
             (
                 "16",
                 "0,0,0,0,0,-45,0,0",
+                (),
                 "938a1fdfdc1d6c6eb50facae9d8411fd33274c0c3e900dfff7ef356a4112b86a",
             ),
             (
                 "256",
                 "0,0,0,-45,0,0,0,0,3,-3,50,-50,0,0,0,0",
+                (),
                 "1252976ba821d3728f1247cf8d3d0f5ccc1a3c36a0d434628d6ff34dfda8f1a3",
             ),
+            (
+                "16",
+                "0,0,0,0,0,-45,0,0",
+                ("--nr", "4", "--rho", "0.9", "--snr-db", "20"),
+                "9da6c6c8e125b78919e9578ed79ea19f2faa6e4eadee5e6a9147c5f3a60ddc34",
+            ),
         ],
-        ids=["M4", "M16", "M256"],
+        ids=["M4", "M16", "M256", "M16-correlated"],
     )
-    def test_smoke_commands_byte_identical(self, M, llr, digest, capsys):
-        """The console smoke run's three ``regions`` commands print the bytes
-        they printed while the upper bounds were a ``DecisionRegions``
-        property (sha256 of stdout)."""
-        assert main(["regions", "--M", M, "--llr", llr]) == 0
+    def test_smoke_commands_byte_identical(self, M, llr, flags, digest, capsys):
+        """The console smoke run's ``regions`` commands print the bytes they
+        printed while the upper bounds were a ``DecisionRegions`` property
+        (sha256 of stdout); the correlated one whitens four antennas with
+        strongly correlated noise, which the others, at rho = 0, do not."""
+        assert main(["regions", "--M", M, "--llr", llr, *flags]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -572,8 +581,8 @@ class TestFailurePaths:
         dump = dict(line.split(" = ", 1) for line in report.splitlines() if " = [" in line)
         channel, cov, y = (np.array(ast.literal_eval(dump[k])) for k in ("channel", "noise_covariance", "y"))
         obs = sisodet.whiten(y, sisodet.make_channel(channel, cov))
-        C = noise_covariance(sigma2_from_snr_db(10.0), 0.5, 2)
-        drawn = draw_tone(tone_rng(cfg.seed, 0, 0), build_constellation(4), C, 0.0).obs
+        model = NoiseModel(noise_covariance(sigma2_from_snr_db(10.0), 0.5, 2))
+        drawn = draw_tone(tone_rng(cfg.seed, 0, 0), build_constellation(4), model, 0.0).obs
         for got, want in ((obs.y, drawn.y), (obs.h1, drawn.h1), (obs.h2, drawn.h2)):
             np.testing.assert_array_equal(got, want)
 
@@ -733,6 +742,14 @@ class TestSnrRange:
         config.write_text(f"snr_db = {snr}\n")
         assert main(["simulate", "--tones", "2", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: snr_db (--snr-db)")
+
+
+class TestDrawTone:
+    def test_covariance_array_refused_by_name(self):
+        """A tone is drawn from a noise model, not from a covariance, and
+        the error names the form it takes."""
+        with pytest.raises(TypeError, match=r"expected a NoiseModel\(covariance\), got ndarray"):
+            draw_tone(tone_rng(0, 0, 0), build_constellation(4), np.eye(2), 0.0)
 
 
 class TestNoiseModelPerSnr:

@@ -60,7 +60,10 @@ def clamp(values) -> AprioriLLRs:
 
 
 def check_llr_shape(llrs: AprioriLLRs, pam: PamAxis) -> None:
-    """Raise ValueError unless the LLRs fit the M-QAM whose axis is pam."""
+    """Raise TypeError unless ``llrs`` is an ``AprioriLLRs`` and ValueError
+    unless the LLRs fit the M-QAM whose axis is pam."""
+    if not isinstance(llrs, AprioriLLRs):
+        raise TypeError(f"expected AprioriLLRs, built by clamp(values), got {type(llrs).__name__}")
     q = 2 * pam.labels.shape[1]
     if llrs.values.shape[1] != q:
         raise ValueError(
@@ -86,6 +89,7 @@ def axis_log_priors(llrs: AprioriLLRs, pam: PamAxis) -> np.ndarray:
     as its own one-axis ``bit_weights.dot`` does.
 
     Raises:
+        TypeError: From ``check_llr_shape``, unless ``llrs`` is an ``AprioriLLRs``.
         ValueError: From ``check_llr_shape``, unless each LLR row is twice
             as wide as the axis labels.
     """
@@ -105,6 +109,7 @@ def symbol_log_priors(llrs: AprioriLLRs, c: Constellation) -> np.ndarray:
     c.bit_weights.T`` rounds differently and must not replace it.
 
     Raises:
+        TypeError: From ``check_llr_shape``, unless ``llrs`` is an ``AprioriLLRs``.
         ValueError: From ``check_llr_shape``, unless the LLR rows are
             ``q`` wide.
     """

@@ -17,11 +17,12 @@ only on the SNR, so a sweep builds one ``NoiseModel`` per distinct SNR and
 every tone at that SNR shares its factorizations.  ``verify`` and
 ``simulate`` share one sweep, which gives one ``SimRecord`` per grid point
 and the first tone that failed the gate; ``verify`` prints its point lines
-from the records and ``simulate`` its CSV rows.  A ``--config`` file's keys
-are the flags' dests and are set on the parsed flags before the one
-``SimConfig`` is built.  Exit codes: 0 success, 1 verification failure,
-2 usage error (including a negative seed and an unwritable ``--out``,
-which ``verify`` and ``simulate`` detect before the sweep).
+from the records and ``simulate`` its CSV rows; both print the same
+``FAILURE:`` line.  A ``--config`` file's keys are the flags' dests, set on
+the parsed flags before the one frozen ``SimConfig`` is built, which
+checks every value.  Exit codes: 0 success, 1 verification failure, 2
+usage error (including a negative seed and an unwritable ``--out``, which
+``verify`` and ``simulate`` detect before the sweep).
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class UsageError(Exception):
     """Invalid configuration or malformed input; maps to exit code 2."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one harness invocation."""
+    """Parameters of one harness invocation.  Building one checks every
+    value and raises ``UsageError``, so an invalid config never exists."""
 
     M: int = 16
     n_rx: int = 2
@@ -79,7 +81,7 @@ class SimConfig:
     rho: float = 0.0
     verify_first: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("M", "n_rx", "tones", "seed"):
             value = getattr(self, name)
             try:
@@ -197,26 +199,25 @@ def draw_tone(
 @dataclass
 class ToneFailure:
     """The first tone of a sweep that failed the gate, kept for the dump;
-    ``over_tolerance`` is false when only the metric counters failed."""
+    ``reason`` is the whole text of its ``FAILURE:`` line."""
 
     point_index: int
     tone_index: int
     point: tuple[float, float]
     data: ToneData
     reason: str
-    over_tolerance: bool
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _failure_report(cfg: SimConfig, failure: ToneFailure, reason: str) -> str:
+def _failure_report(cfg: SimConfig, failure: ToneFailure) -> str:
     """Failure line plus the full inputs of the tone, precise enough to
     reproduce it."""
     data = failure.data
     lines = [
-        f"FAILURE: {reason}",
+        f"FAILURE: {failure.reason}",
         f"offending tone: point_index={failure.point_index} tone_index={failure.tone_index}",
         f"point: snr_db={_fmt(failure.point[0])} mu={_fmt(failure.point[1])}",
         f"config: M={cfg.M} n_rx={cfg.n_rx} seed={cfg.seed} rho={_fmt(cfg.rho)}",
@@ -276,8 +277,9 @@ def _sweep(
                 or result.total_metric_count > ceiling
             ):
                 counts = f"{result.candidate_metric_count}/{result.total_metric_count}"
-                reason = f"llr discrepancy {_fmt(disc)}" if over else f"metric counts {counts}"
-                failure = ToneFailure(p_idx, t_idx, (snr_db, mu), data, reason, over)
+                over_text = f"llr discrepancy {_fmt(disc)} exceeds {_fmt(VERIFY_TOLERANCE)}"
+                reason = over_text if over else f"metric counts {counts}"
+                failure = ToneFailure(p_idx, t_idx, (snr_db, mu), data, reason)
                 if stop_at_failure:
                     return records, failure
             max_disc = float(np.maximum(max_disc, disc))  # keeps a NaN
@@ -306,7 +308,6 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
     passes the sweep's gate.  The first failing tone is reported, and the
     run goes on to the end.  Returns (exit status, report text).
     """
-    cfg.validate()
     records, failure = _sweep(cfg, build_constellation(cfg.M), stop_at_failure=False)
     lines = [
         f"verify M={cfg.M} n_rx={cfg.n_rx} tones_per_point={cfg.tones} "
@@ -322,7 +323,7 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
     lines.append(f"global max_llr_discrepancy = {_fmt(global_max)}")
     lines.append(f"tolerance = {_fmt(VERIFY_TOLERANCE)}")
     if failure is not None:
-        lines.append(_failure_report(cfg, failure, failure.reason))
+        lines.append(_failure_report(cfg, failure))
     lines.append("RESULT: PASS" if failure is None else "RESULT: FAIL")
     return (0 if failure is None else 1), "\n".join(lines) + "\n"
 
@@ -350,13 +351,9 @@ def run_simulate(cfg: SimConfig) -> tuple[int, list[SimRecord], str]:
     lands in ``max_llr_discrepancy_vs_oracle``.  Returns (exit status,
     records, csv text).
     """
-    cfg.validate()
     records, failure = _sweep(cfg, build_constellation(cfg.M), stop_at_failure=cfg.verify_first)
     if cfg.verify_first and failure is not None:
-        reason = failure.reason
-        if failure.over_tolerance:
-            reason += f" exceeds {_fmt(VERIFY_TOLERANCE)}"
-        return 1, records, _failure_report(cfg, failure, reason) + "\n"
+        return 1, records, _failure_report(cfg, failure) + "\n"
     return 0, records, "\n".join([SIM_CSV_HEADER, *map(_csv_row, records)]) + "\n"
 
 
@@ -371,7 +368,6 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
     the dump matches what detection on that tone would use.  More than one
     SNR is a usage error, as only one tone is drawn.
     """
-    cfg.validate()
     if len(cfg.snr_db_list) != 1:
         raise UsageError(
             f"snr_db (--snr-db) must be one SNR for regions, got {list(cfg.snr_db_list)}"
@@ -486,7 +482,8 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
     The config file's keys are set on ``args`` first, each on the flag it
     is named after, so a subcommand takes exactly the keys of the flags
-    it declares; any other key is a usage error.
+    it declares; any other key is a usage error.  A field whose flag the
+    subcommand lacks keeps its default.
     """
     for key, value in (load_config_file(args.config) if args.config else {}).items():
         if key not in _CONFIG_KEYS:
@@ -500,20 +497,15 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
             setattr(args, key, value if convert is None else convert(value))
         except ValueError as err:
             raise UsageError(f"bad value for config key {key!r}: {err}") from None
-    cfg = SimConfig(
-        M=args.M,
-        n_rx=args.nr,
-        snr_db_list=_parse_list(args.snr_db, "--snr-db"),
-        seed=args.seed,
-        rho=args.rho,
-    )
+    snr_db_list = _parse_list(args.snr_db, "--snr-db")
+    declared = {}
     if hasattr(args, "tones"):  # the sweep flags, declared together
-        cfg.tones = args.tones
-        cfg.mu_list = _parse_list(args.mu, "--mu")
+        declared.update(tones=args.tones, mu_list=_parse_list(args.mu, "--mu"))
     if hasattr(args, "verify_first"):
-        cfg.verify_first = args.verify_first
-    cfg.validate()
-    return cfg
+        declared.update(verify_first=args.verify_first)
+    return SimConfig(
+        M=args.M, n_rx=args.nr, snr_db_list=snr_db_list, seed=args.seed, rho=args.rho, **declared
+    )
 
 
 def _write_out(path: str | None, text: str) -> None:

@@ -22,9 +22,9 @@ import sisodet.priors
 ENV = dict(os.environ, PYTHONPATH=str(Path(sisodet.__file__).resolve().parents[1]))
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=120
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=ENV, timeout=120
     )
 
 
@@ -67,6 +67,18 @@ def test_cli_and_log_map_run_with_scipy_blocked():
     run = run_python(SCIPY_BLOCKED)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[0, 0, 0, 0, 0] True\n"
+
+
+def test_readme_quickstart_runs_with_scipy_blocked():
+    """The README's library quickstart runs as printed, on numpy alone and
+    with warnings as tier-1 treats them, so an API change that breaks it
+    fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    blocked = 'import sys\nsys.modules["scipy"] = None\n' + code
+    run = run_python(blocked, "-W", "error::RuntimeWarning")
+    assert run.returncode == 0, run.stderr
 
 
 RECEIVER_API = [

@@ -9,12 +9,17 @@ from scipy.stats import norm
 
 from sisodet import (
     AprioriLLRs,
+    brute_force_maxlog,
     build_constellation,
     clamp,
+    detect,
+    generate_channel,
     genie_priors,
+    make_channel,
     uniform_priors,
+    whiten,
 )
-from sisodet.oracle import argmax_slice_oracle, pairwise_boundary
+from sisodet.oracle import argmax_slice_oracle, log_map, pair_metric_table, pairwise_boundary
 from sisodet.priors import axis_log_priors, finite_log_priors, symbol_log_priors
 from sisodet.slicer import build_regions, slice_statistic, upper_bounds
 
@@ -207,6 +212,20 @@ class TestSymbolLogPriors:
         c = build_constellation(16)
         with pytest.raises(ValueError, match=rf"shape \(2, 4\) for 16-QAM, got \(2, {width}\)"):
             symbol_log_priors(clamp(np.zeros((2, width))), c)
+
+
+@pytest.mark.parametrize(
+    "search", [detect, brute_force_maxlog, pair_metric_table, log_map], ids=lambda f: f.__name__
+)
+def test_raw_llr_array_refused_by_name(search):
+    """A raw array of LLRs fails in ``check_llr_shape`` with a TypeError
+    that names ``clamp``, not with an AttributeError from deep inside."""
+    c = build_constellation(16)
+    rng = np.random.default_rng(5)
+    obs = whiten(np.ones(2, complex), make_channel(generate_channel(rng, 2), 0.1 * np.eye(2)))
+    message = r"^expected AprioriLLRs, built by clamp\(values\), got ndarray$"
+    with pytest.raises(TypeError, match=message):
+        search(obs, c, np.zeros((2, c.q)))
 
 
 class TestGeniePriors:

@@ -1,8 +1,10 @@
 """Tests for the Monte-Carlo harness and its four subcommands."""
 
+import dataclasses
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,8 +179,8 @@ class TestRunRegions:
             run_regions(small_config(M=16), np.zeros(6))
 
     def test_snr_range_checked_before_count(self):
-        """The count is checked after ``SimConfig.validate``, so an SNR out
-        of range is reported as such, even in a list of two."""
+        """The count is checked after the config's own checks, so an SNR
+        out of range is reported as such, even in a list of two."""
         with pytest.raises(UsageError, match=r"values must lie in \[-100, 300\] dB"):
             run_regions(small_config(snr_db_list=(0.0, 5000.0)), np.zeros(4))
 
@@ -693,7 +695,16 @@ class TestConfigValidation:
     )
     def test_rejected(self, overrides):
         with pytest.raises(UsageError):
-            small_config(**overrides).validate()
+            small_config(**overrides)
+
+    @pytest.mark.parametrize("name, value", [("tones", 0), ("M", 64), ("mu_list", (1.0,))])
+    def test_frozen(self, name, value):
+        """A built config cannot be changed, valid value or not, so the
+        checks it passed at construction still hold when a run reads it."""
+        cfg = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert cfg == small_config()
 
     @pytest.mark.parametrize(
         "name, value",
@@ -810,6 +821,21 @@ class TestSharedSweep:
         assert captured.out == ""
         assert captured.err.startswith("FAILURE: metric counts 32/96\n")
         assert "offending tone: point_index=0 tone_index=0" in captured.err
+
+    def test_one_failure_text(self, monkeypatch, capsys):
+        """verify's report carries, before its result line, the very failure
+        report that simulate writes to stderr for an over-tolerance tone."""
+        import sisodet.simcli as cli
+
+        monkeypatch.setattr(cli, "detect", TestFailurePaths._broken_detect)
+        assert main(["verify", "--M", "16", "--tones", "3"]) == 1
+        report = capsys.readouterr().out
+        assert main(["simulate", "--M", "16", "--tones", "3"]) == 1
+        stopped = capsys.readouterr()
+        assert stopped.out == ""
+        first = stopped.err.splitlines()[0]
+        assert re.fullmatch(r"FAILURE: llr discrepancy \S+ exceeds 9\.9999999999999995e-07", first)
+        assert report.endswith(stopped.err + "RESULT: FAIL\n")
 
     def test_failing_tones_reported_alike(self, monkeypatch, capsys):
         """With a detector off on every third tone, verify's point lines

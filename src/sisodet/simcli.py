@@ -18,11 +18,11 @@ every tone at that SNR shares its factorizations.  ``verify`` and
 ``simulate`` share one sweep, which gives one ``SimRecord`` per grid point
 and the first tone that failed the gate; ``verify`` prints its point lines
 from the records and ``simulate`` its CSV rows; both print the same
-``FAILURE:`` line.  A ``--config`` file's keys are the flags' dests, set on
-the parsed flags before the one frozen ``SimConfig`` is built, which
-checks every value.  Exit codes: 0 success, 1 verification failure, 2
-usage error (including a negative seed and an unwritable ``--out``, which
-``verify`` and ``simulate`` detect before the sweep).
+``FAILURE:`` line.  Each setting's one default is a ``SimConfig`` field;
+a flag or its ``--config`` key overrides it, and the frozen config checks
+every value when built.  Exit codes: 0 success, 1 verification failure,
+2 usage error (including a negative seed and an unwritable ``--out``,
+which ``verify`` and ``simulate`` detect before the sweep).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import operator
+import numbers
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -69,8 +69,15 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Parameters of one harness invocation.  Building one checks every
-    value and raises ``UsageError``, so an invalid config never exists."""
+    """Parameters of one harness invocation, and the default of each: a
+    setting that no flag or config key gives keeps the one written here.
+
+    Building one checks every value and raises ``UsageError`` naming the
+    field, so an invalid config never exists: ``M``, ``n_rx``, ``tones``
+    and ``seed`` are integers (numpy's too) and ``rho`` a real number;
+    ``snr_db_list`` and ``mu_list`` are tuples of real numbers, so a config
+    hashes; none of them is a bool, and ``verify_first`` is one.
+    """
 
     M: int = 16
     n_rx: int = 2
@@ -84,10 +91,16 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name in ("M", "n_rx", "tones", "seed"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise UsageError(f"{name} must be an integer, got {value!r}") from None
+            if not _is_number(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        if not _is_number(self.rho, numbers.Real):
+            raise UsageError(f"rho must be a real number, got {self.rho!r}")
+        for name in ("snr_db_list", "mu_list"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and all(_is_number(v, numbers.Real) for v in value)):
+                raise UsageError(f"{name} must be a tuple of real numbers, got {value!r}")
+        if not isinstance(self.verify_first, bool):
+            raise UsageError(f"verify_first must be a bool, got {self.verify_first!r}")
         if self.M not in VALID_ORDERS:
             raise UsageError(f"M must be one of {VALID_ORDERS}, got {self.M}")
         if self.n_rx < 2:
@@ -110,6 +123,16 @@ class SimConfig:
             )
         if not self.snr_db_list or not self.mu_list:
             raise UsageError("snr_db and mu lists must be non-empty")
+
+    def noise_model(self, snr_db: float) -> NoiseModel:
+        """The noise model that every tone at ``snr_db`` shares."""
+        return NoiseModel(noise_covariance(sigma2_from_snr_db(snr_db), self.rho, self.n_rx))
+
+
+def _is_number(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` number, numpy's included, and not a
+    bool (numpy's bool is no ``numbers`` type)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -258,10 +281,7 @@ def _sweep(
     records: list[SimRecord] = []
     failure: ToneFailure | None = None
     points = [(snr, mu) for snr in cfg.snr_db_list for mu in cfg.mu_list]
-    models = {
-        snr: NoiseModel(noise_covariance(sigma2_from_snr_db(snr), cfg.rho, cfg.n_rx))
-        for snr in set(cfg.snr_db_list)
-    }
+    models = {snr: cfg.noise_model(snr) for snr in set(cfg.snr_db_list)}
     for p_idx, (snr_db, mu) in enumerate(points):
         det_errors = orc_errors = metric_sum = 0
         max_disc = 0.0
@@ -383,7 +403,7 @@ def run_regions(cfg: SimConfig, llr_values) -> str:
     except ValueError as err:
         raise UsageError(str(err)) from None
 
-    model = NoiseModel(noise_covariance(sigma2_from_snr_db(cfg.snr_db_list[0]), cfg.rho, cfg.n_rx))
+    model = cfg.noise_model(cfg.snr_db_list[0])
     obs = draw_tone(tone_rng(cfg.seed, 0, 0), const, model, cfg.mu_list[0]).obs
     pam = const.real_axis
     logp, gains = table_inputs(obs, pam, llrs)
@@ -462,18 +482,18 @@ def _parse_bool(text: str) -> bool:
     return text.lower() in ("true", "1")
 
 
-# Each config key is the dest of the flag it overrides, with the converter
-# of its value; None keeps the text, as the flag does.
+# Each config key is the dest of the flag it overrides, with the SimConfig
+# field both set (None: none) and its converter; lists are parsed last.
 _CONFIG_KEYS = {
-    "M": int,
-    "nr": int,
-    "snr_db": None,
-    "mu": None,
-    "tones": int,
-    "seed": int,
-    "rho": float,
-    "out": None,
-    "verify_first": _parse_bool,
+    "M": ("M", int),
+    "nr": ("n_rx", int),
+    "snr_db": ("snr_db_list", _parse_list),
+    "mu": ("mu_list", _parse_list),
+    "tones": ("tones", int),
+    "seed": ("seed", int),
+    "rho": ("rho", float),
+    "out": (None, str),
+    "verify_first": ("verify_first", _parse_bool),
 }
 
 
@@ -482,30 +502,30 @@ def _config_from_args(args: argparse.Namespace) -> SimConfig:
 
     The config file's keys are set on ``args`` first, each on the flag it
     is named after, so a subcommand takes exactly the keys of the flags
-    it declares; any other key is a usage error.  A field whose flag the
-    subcommand lacks keeps its default.
+    it declares; any other key is a usage error.  A field that neither a
+    flag nor a key sets keeps its ``SimConfig`` default.
     """
     for key, value in (load_config_file(args.config) if args.config else {}).items():
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key {key!r}")
         if not hasattr(args, key):
             raise UsageError(f"config key {key!r} is not used by {args.command}")
-        convert = _CONFIG_KEYS[key]
-        if key in ("snr_db", "mu"):
+        convert = _CONFIG_KEYS[key][1]
+        if convert is _parse_list:
             _parse_list(value, key)  # a malformed list names the key, not the flag
         try:
-            setattr(args, key, value if convert is None else convert(value))
+            setattr(args, key, value if convert is _parse_list else convert(value))
         except ValueError as err:
             raise UsageError(f"bad value for config key {key!r}: {err}") from None
-    snr_db_list = _parse_list(args.snr_db, "--snr-db")
-    declared = {}
-    if hasattr(args, "tones"):  # the sweep flags, declared together
-        declared.update(tones=args.tones, mu_list=_parse_list(args.mu, "--mu"))
-    if hasattr(args, "verify_first"):
-        declared.update(verify_first=args.verify_first)
-    return SimConfig(
-        M=args.M, n_rx=args.nr, snr_db_list=snr_db_list, seed=args.seed, rho=args.rho, **declared
-    )
+    settings = {}
+    for key, (field, convert) in _CONFIG_KEYS.items():
+        value = getattr(args, key, None)  # None: not given, or no such flag
+        if field is None or value is None:
+            continue
+        if convert is _parse_list:
+            value = _parse_list(value, "--" + key.replace("_", "-"))
+        settings[field] = value
+    return SimConfig(**settings)
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -556,24 +576,19 @@ def _build_parser() -> argparse.ArgumentParser:
         them.  ``--tones`` and ``--mu`` belong to the sweep of verify and
         simulate only: regions draws one fixed tone."""
         flags = argparse.ArgumentParser(add_help=False)
-        flags.add_argument("--M", type=int, default=16, help="constellation order")
-        flags.add_argument("--nr", type=int, default=2, help="receive antennas")
+        flags.add_argument("--M", type=int, help="constellation order")
+        flags.add_argument("--nr", type=int, help="receive antennas")
         if sweep:
-            flags.add_argument("--tones", type=int, default=1000, help="tones per grid point")
-        flags.add_argument("--seed", type=int, default=1, help="master RNG seed")
+            flags.add_argument("--tones", type=int, help="tones per grid point")
+        flags.add_argument("--seed", type=int, help="master RNG seed")
+        flags.add_argument("--rho", type=float, help="noise correlation coefficient")
+        flags.add_argument("--out", help="output file path")
+        flags.add_argument("--config", help="key=value file overriding flags")
         flags.add_argument(
-            "--rho", type=float, default=0.0, help="noise correlation coefficient"
-        )
-        flags.add_argument("--out", type=str, default=None, help="output file path")
-        flags.add_argument(
-            "--config", type=str, default=None, help="key=value file overriding flags"
-        )
-        flags.add_argument(
-            "--snr-db", type=str, default="10",
-            help="comma list of SNRs" if sweep else "SNR of the one tone, in dB",
+            "--snr-db", help="comma list of SNRs" if sweep else "SNR of the one tone, in dB"
         )
         if sweep:
-            flags.add_argument("--mu", type=str, default="0", help="comma list of mu values")
+            flags.add_argument("--mu", help="comma list of mu values")
         return flags
 
     sweep = tone_flags(sweep=True)
@@ -588,7 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--verify-first",
         action=argparse.BooleanOptionalAction,
-        default=True,
         help="exit 1 at the first tone that fails the check against the "
         "reference (default); --no-verify-first goes on and reports the "
         "worst LLR discrepancy in max_llr_discrepancy_vs_oracle",

@@ -5,7 +5,6 @@ and pins its tolerance explicitly.  Criteria 2 and 3 share one large
 randomized battery; expect the whole module to run for a few minutes.
 """
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,10 +15,11 @@ from sisodet import (
     build_constellation,
     clamp,
     detect,
+    predicted_counts,
     uniform_priors,
 )
+from sisodet.detector import table_inputs
 from sisodet.oracle import argmax_slice_oracle, quadratic_norm
-from sisodet.priors import axis_log_priors
 from sisodet.simcli import main
 from sisodet.slicer import build_regions, slice_statistic, upper_bounds
 from helpers import random_hermitian_pd, random_tone
@@ -49,8 +49,7 @@ def criterion(capsys, number: int, name: str):
 
 def _any_axis_pruned(const, llrs, obs) -> bool:
     pam = const.real_axis
-    gains = (obs.gain1, obs.gain1, obs.gain2, obs.gain2)
-    return bool(build_regions(pam, axis_log_priors(llrs, pam), gains).empty.any())
+    return bool(build_regions(pam, *table_inputs(obs, pam, llrs)).empty.any())
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ def battery():
     stats = {}
     for M, tones in BATTERY_PLAN:
         const = build_constellation(M)
-        ceiling = 4 * M - 2 * int(math.isqrt(M))
+        ceiling = predicted_counts("proposed", M, 2).metrics
         worst = 0.0
         pruned_tones = 0
         count_violations = 0
@@ -103,8 +102,6 @@ class TestAcceptance:
     def test_1_count_model_table(self, capsys):
         """Criterion 1: the nine closed-form counts for M=256, N_r=2."""
         with criterion(capsys, 1, "count-model table, integer exact"):
-            from sisodet import predicted_counts
-
             expected = {
                 "proposed": (992, 12768, 16732),
                 "tlord": (1536, 20480, 23548),

@@ -21,6 +21,7 @@ from sisodet.simcli import (
     SimConfig,
     UsageError,
     _build_parser,
+    _config_from_args,
     draw_tone,
     load_config_file,
     main,
@@ -514,6 +515,52 @@ class TestMainCli:
         assert err.startswith("error:")
         assert f"{key} (--" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["verify"], ["simulate"], ["regions", "--llr", "0,0,0,0"]]
+    )
+    def test_omitted_flags_take_library_defaults(self, argv):
+        """Each default is written once, in SimConfig: a flag left out
+        gives the same configuration as a library SimConfig()."""
+        assert _config_from_args(_build_parser().parse_args(argv)) == SimConfig()
+
+    @pytest.mark.parametrize(
+        "argv, lines, flags, expected",
+        [
+            (
+                ["verify"],
+                "M = 4\nnr = 3\nsnr_db = 0, 20\nmu = 0, 4\ntones = 3\nseed = 5\nrho = 0.5\n"
+                "out = r.txt\n",
+                ["--M", "4", "--nr", "3", "--snr-db", "0,20", "--mu", "0,4", "--tones", "3",
+                 "--seed", "5", "--rho", "0.5", "--out", "r.txt"],
+                SimConfig(4, 3, (0.0, 20.0), (0.0, 4.0), 3, 5, 0.5, True),
+            ),
+            (
+                ["simulate"],
+                "M = 4\nnr = 3\nsnr_db = 0, 20\nmu = 0, 4\ntones = 3\nseed = 5\nrho = 0.5\n"
+                "out = s.csv\nverify_first = false\n",
+                ["--M", "4", "--nr", "3", "--snr-db", "0,20", "--mu", "0,4", "--tones", "3",
+                 "--seed", "5", "--rho", "0.5", "--out", "s.csv", "--no-verify-first"],
+                SimConfig(4, 3, (0.0, 20.0), (0.0, 4.0), 3, 5, 0.5, False),
+            ),
+            (
+                ["regions", "--llr", "0,0,0,0"],
+                "M = 4\nnr = 3\nsnr_db = 20\nseed = 5\nrho = 0.5\nout = g.csv\n",
+                ["--M", "4", "--nr", "3", "--snr-db", "20", "--seed", "5", "--rho", "0.5",
+                 "--out", "g.csv"],
+                SimConfig(M=4, n_rx=3, snr_db_list=(20.0,), seed=5, rho=0.5),
+            ),
+        ],
+    )
+    def test_every_config_key_sets_its_field(self, argv, lines, flags, expected, tmp_path):
+        """A config file that sets every key a subcommand takes gives the
+        configuration that the same values as flags give, with every field
+        the key's table entry names set."""
+        config = tmp_path / "run.cfg"
+        config.write_text(lines)
+        parse = _build_parser().parse_args
+        from_config = _config_from_args(parse([*argv, "--config", str(config)]))
+        assert from_config == _config_from_args(parse([*argv, *flags])) == expected
+
 
 PARSER_REUSE_RUNS = [
     ["simulate", "--tones", "many"],  # argparse usage error: exit 2
@@ -691,6 +738,17 @@ class TestConfigValidation:
             dict(snr_db_list=(np.nan,)),
             dict(snr_db_list=(10.0, -np.inf)),
             dict(seed=-1),
+            dict(rho=False),
+            dict(rho="0.5"),
+            dict(rho=None),
+            dict(snr_db_list=[10.0]),
+            dict(snr_db_list=("10",)),
+            dict(snr_db_list=(True,)),
+            dict(mu_list=(True,)),
+            dict(mu_list=np.array([1.0])),
+            dict(mu_list=(0.0, None)),
+            dict(verify_first="false"),
+            dict(verify_first=1),
         ],
     )
     def test_rejected(self, overrides):
@@ -708,13 +766,22 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("M", 16.0), ("n_rx", 2.5), ("tones", 2.5), ("seed", 1.5), ("tones", "2")],
+        [
+            ("M", 16.0), ("n_rx", 2.5), ("tones", 2.5), ("seed", 1.5), ("tones", "2"),
+            ("tones", True), ("M", True), ("n_rx", False), ("seed", np.True_),
+        ],
     )
     def test_non_integer_count_named(self, name, value):
         """Named before any count reaches numpy or the constellation
-        builder, which would round it, or fail with a raw TypeError."""
+        builder, which would round it, or fail with a raw TypeError; a
+        bool is no count, though Python counts it as an integer."""
         with pytest.raises(UsageError, match=f"^{name} must be an integer, got {value!r}$"):
             run_verify(small_config(**{name: value}))
+
+    def test_hashable(self):
+        """Every field is immutable, so a config hashes, as a frozen
+        dataclass promises."""
+        assert hash(SimConfig()) == hash(SimConfig(snr_db_list=(10.0,)))
 
     def test_numpy_integer_counts_accepted(self):
         cfg = small_config(M=np.int64(16), n_rx=np.int32(3), tones=np.int16(3), seed=np.uint8(7))

@@ -41,8 +41,11 @@ class DetectionResult:
 
     ``candidate_metric_count`` is always 2M (one metric per enumerated
     symbol per layer).  ``boundary_count`` is the number of slicing
-    thresholds evaluated across all four interval tables, at most
-    2(M - sqrt(M)) and less when threshold shifts empty out amplitudes.
+    thresholds the four interval tables depend on: ``build_regions``
+    evaluates all L(L-1)/2 crossovers of each table, but a table with E
+    empty amplitudes depends on only L(L-1)/2 - E(E-1)/2 of them, so the
+    count is 2(M - sqrt(M)) with no empty amplitude and less when
+    threshold shifts empty some out.
     """
 
     llrs: np.ndarray

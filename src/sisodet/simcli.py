@@ -16,13 +16,17 @@ invocation is reproducible byte for byte.  The noise covariance depends
 only on the SNR, so a sweep builds one ``NoiseModel`` per distinct SNR and
 every tone at that SNR shares its factorizations.  ``verify`` and
 ``simulate`` share one sweep, which gives one ``SimRecord`` per grid point
-and the first tone that failed the gate; ``verify`` prints its point lines
-from the records and ``simulate`` its CSV rows; both print the same
-``FAILURE:`` line.  Each setting's one default is a ``SimConfig`` field;
-a flag or its ``--config`` key overrides it, and the frozen config checks
-every value when built.  Exit codes: 0 success, 1 verification failure,
-2 usage error (including a negative seed and an unwritable ``--out``,
-which ``verify`` and ``simulate`` detect before the sweep).
+and the failure report of the first tone that failed the gate: its
+``FAILURE:`` line and the tone's full inputs.  ``verify`` prints its point
+lines from the records and appends the report; ``simulate`` prints its
+CSV rows, or the report alone.  Each setting's one default is a
+``SimConfig`` field; a flag or its ``--config`` key overrides it, and the
+frozen config checks every value when built.  Exit codes: 0 success,
+1 verification failure, 2 usage error.  The usage errors include a
+negative seed and an unwritable ``--out``, which ``verify`` and
+``simulate`` detect before the sweep; a config file that is not UTF-8;
+and a noise covariance that cannot be factored, found before any tone
+is drawn.
 """
 
 from __future__ import annotations
@@ -125,8 +129,20 @@ class SimConfig:
             raise UsageError("snr_db and mu lists must be non-empty")
 
     def noise_model(self, snr_db: float) -> NoiseModel:
-        """The noise model that every tone at ``snr_db`` shares."""
-        return NoiseModel(noise_covariance(sigma2_from_snr_db(snr_db), self.rho, self.n_rx))
+        """The noise model that every tone at ``snr_db`` shares.
+
+        Raises:
+            UsageError: If the covariance cannot be factored, as when ``rho``
+                is so close to 1 that rounding leaves it not positive
+                definite; names ``rho``, the antenna count and the SNR.
+        """
+        try:
+            return NoiseModel(noise_covariance(sigma2_from_snr_db(snr_db), self.rho, self.n_rx))
+        except (ValueError, np.linalg.LinAlgError) as err:
+            raise UsageError(
+                f"cannot factor the noise covariance at rho={float(self.rho)!r}, "
+                f"n_rx={self.n_rx}, snr_db={float(snr_db)!r}: {err}"
+            ) from None
 
 
 def _is_number(value, kind: type) -> bool:
@@ -219,30 +235,20 @@ def draw_tone(
     )
 
 
-@dataclass
-class ToneFailure:
-    """The first tone of a sweep that failed the gate, kept for the dump;
-    ``reason`` is the whole text of its ``FAILURE:`` line."""
-
-    point_index: int
-    tone_index: int
-    point: tuple[float, float]
-    data: ToneData
-    reason: str
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _failure_report(cfg: SimConfig, failure: ToneFailure) -> str:
-    """Failure line plus the full inputs of the tone, precise enough to
+def _failure_report(
+    cfg: SimConfig, point_index: int, tone_index: int, point: tuple, data: ToneData, reason: str
+) -> str:
+    """Failure line, whose text after ``FAILURE:`` is ``reason``, plus the
+    full inputs of the tone at ``point`` = (snr_db, mu), precise enough to
     reproduce it."""
-    data = failure.data
     lines = [
-        f"FAILURE: {failure.reason}",
-        f"offending tone: point_index={failure.point_index} tone_index={failure.tone_index}",
-        f"point: snr_db={_fmt(failure.point[0])} mu={_fmt(failure.point[1])}",
+        f"FAILURE: {reason}",
+        f"offending tone: point_index={point_index} tone_index={tone_index}",
+        f"point: snr_db={_fmt(point[0])} mu={_fmt(point[1])}",
         f"config: M={cfg.M} n_rx={cfg.n_rx} seed={cfg.seed} rho={_fmt(cfg.rho)}",
         f"channel = {data.channel.effective_channel.tolist()!r}",
         f"noise_covariance = {data.channel.noise.covariance.tolist()!r}",
@@ -254,10 +260,9 @@ def _failure_report(cfg: SimConfig, failure: ToneFailure) -> str:
     return "\n".join(lines)
 
 
-def _sweep(
-    cfg: SimConfig, const: Constellation, stop_at_failure: bool
-) -> tuple[list[SimRecord], ToneFailure | None]:
-    """Run the (snr, mu) grid: one record per point and the first failure.
+def _sweep(cfg: SimConfig, stop_at_failure: bool) -> tuple[list[SimRecord], str | None]:
+    """Run the (snr, mu) grid: one record per point, and the failure report
+    of the first tone that failed the gate, or None.
 
     The noise covariance depends on the SNR alone, so one ``NoiseModel``
     per distinct SNR is built before the loop and shared by every tone at
@@ -274,14 +279,19 @@ def _sweep(
     tones, NaN if any was.  With ``stop_at_failure`` the sweep returns at
     the first failing tone, before counting it, with the records of the
     points already finished; otherwise it runs to the end and returns the
-    first failure it met.
+    report of the first failure it met.
+
+    Raises:
+        UsageError: If the noise covariance at some SNR cannot be factored;
+            raised before any tone is drawn.
     """
+    const = build_constellation(cfg.M)
     ceiling = predicted_counts("proposed", cfg.M, cfg.n_rx).metrics
     bits_per_tone = 2 * const.q
     records: list[SimRecord] = []
-    failure: ToneFailure | None = None
+    report: str | None = None
     points = [(snr, mu) for snr in cfg.snr_db_list for mu in cfg.mu_list]
-    models = {snr: cfg.noise_model(snr) for snr in set(cfg.snr_db_list)}
+    models = {snr: cfg.noise_model(snr) for snr in dict.fromkeys(cfg.snr_db_list)}
     for p_idx, (snr_db, mu) in enumerate(points):
         det_errors = orc_errors = metric_sum = 0
         max_disc = 0.0
@@ -291,7 +301,7 @@ def _sweep(
             reference = brute_force_maxlog(data.obs, const, data.llrs)
             disc = float(np.abs(result.llrs - reference).max())
             over = not disc <= VERIFY_TOLERANCE  # a NaN discrepancy fails too
-            if failure is None and (
+            if report is None and (
                 over
                 or result.candidate_metric_count != 2 * cfg.M
                 or result.total_metric_count > ceiling
@@ -299,9 +309,9 @@ def _sweep(
                 counts = f"{result.candidate_metric_count}/{result.total_metric_count}"
                 over_text = f"llr discrepancy {_fmt(disc)} exceeds {_fmt(VERIFY_TOLERANCE)}"
                 reason = over_text if over else f"metric counts {counts}"
-                failure = ToneFailure(p_idx, t_idx, (snr_db, mu), data, reason)
+                report = _failure_report(cfg, p_idx, t_idx, (snr_db, mu), data, reason)
                 if stop_at_failure:
-                    return records, failure
+                    return records, report
             max_disc = float(np.maximum(max_disc, disc))  # keeps a NaN
             det_errors += int(np.count_nonzero((result.llrs > 0) != data.bits))
             orc_errors += int(np.count_nonzero((reference > 0) != data.bits))
@@ -318,7 +328,7 @@ def _sweep(
                 max_llr_discrepancy_vs_oracle=max_disc,
             )
         )
-    return records, failure
+    return records, report
 
 
 def run_verify(cfg: SimConfig) -> tuple[int, str]:
@@ -328,7 +338,7 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
     passes the sweep's gate.  The first failing tone is reported, and the
     run goes on to the end.  Returns (exit status, report text).
     """
-    records, failure = _sweep(cfg, build_constellation(cfg.M), stop_at_failure=False)
+    records, report = _sweep(cfg, stop_at_failure=False)
     lines = [
         f"verify M={cfg.M} n_rx={cfg.n_rx} tones_per_point={cfg.tones} "
         f"seed={cfg.seed} rho={_fmt(cfg.rho)}"
@@ -342,10 +352,8 @@ def run_verify(cfg: SimConfig) -> tuple[int, str]:
     global_max = float(np.max([0.0, *(rec.max_llr_discrepancy_vs_oracle for rec in records)]))
     lines.append(f"global max_llr_discrepancy = {_fmt(global_max)}")
     lines.append(f"tolerance = {_fmt(VERIFY_TOLERANCE)}")
-    if failure is not None:
-        lines.append(_failure_report(cfg, failure))
-    lines.append("RESULT: PASS" if failure is None else "RESULT: FAIL")
-    return (0 if failure is None else 1), "\n".join(lines) + "\n"
+    lines += ["RESULT: PASS"] if report is None else [report, "RESULT: FAIL"]
+    return (0 if report is None else 1), "\n".join(lines) + "\n"
 
 
 SIM_CSV_HEADER = ",".join(f.name for f in fields(SimRecord))
@@ -371,9 +379,9 @@ def run_simulate(cfg: SimConfig) -> tuple[int, list[SimRecord], str]:
     lands in ``max_llr_discrepancy_vs_oracle``.  Returns (exit status,
     records, csv text).
     """
-    records, failure = _sweep(cfg, build_constellation(cfg.M), stop_at_failure=cfg.verify_first)
-    if cfg.verify_first and failure is not None:
-        return 1, records, _failure_report(cfg, failure) + "\n"
+    records, report = _sweep(cfg, stop_at_failure=cfg.verify_first)
+    if cfg.verify_first and report is not None:
+        return 1, records, report + "\n"
     return 0, records, "\n".join([SIM_CSV_HEADER, *map(_csv_row, records)]) + "\n"
 
 
@@ -462,8 +470,8 @@ def load_config_file(path: str) -> dict[str, str]:
     """Parse a `key = value` override file; blank lines and # comments skipped."""
     overrides: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {path!r}: {err}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -102,6 +102,36 @@ class TestResidualStatistic:
         with pytest.raises(ValueError):
             residual_statistic(obs, 3, 0j)
 
+    @pytest.mark.parametrize("M", VALID_ORDERS)
+    def test_detect_slices_the_reference(self, M, monkeypatch):
+        """The four rows detect slices are the real and imaginary parts of
+        this statistic for every symbol: rows 0-1 cancel a layer-2 symbol,
+        rows 2-3 a layer-1 symbol.  detect projects once per tone and the
+        reference once per symbol, so they round differently; the bound is
+        a few ulps of the statistic's size."""
+        const = build_constellation(M)
+        sliced = []
+
+        def recording(regions, z):
+            sliced.append(z)
+            return slice_statistic(regions, z)
+
+        monkeypatch.setattr(detector, "slice_statistic", recording)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng([65, M])
+        for n_rx, snr_db in itertools.product((1, 2, 4, 8), (-10.0, 10.0, 40.0, 120.0)):
+            obs, llrs, _, _, _, _ = random_tone(
+                rng, const, n_rx=n_rx, snr_db=snr_db, rho=0.5, mu=4.0
+            )
+            detect(obs, const, llrs)
+            (z,) = sliced
+            sliced.clear()
+            want = np.array(
+                [[residual_statistic(obs, layer, s) for s in const.symbols] for layer in (2, 1)]
+            )
+            expected = np.stack([want.real, want.imag], axis=1).reshape(4, M)
+            assert np.abs(z - expected).max() <= 8 * eps * (np.abs(want).max() + 1)
+
 
 class TestCandidateMetric:
     def test_true_pair_zero_priors_noiseless(self):

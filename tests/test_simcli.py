@@ -387,6 +387,19 @@ class TestMainCli:
         assert main(["verify", "--config", path]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read config file {path!r}: ")
 
+    def test_config_file_read_as_utf8(self, tmp_path, capsys):
+        """The file is UTF-8 whatever the locale: a non-ASCII comment
+        parses, and a byte that is not UTF-8 is a usage error."""
+        config = tmp_path / "run.cfg"
+        config.write_bytes("# \u03c1 \u2192 1\nM = 16\n".encode("utf-8"))
+        assert load_config_file(str(config)) == {"M": "16"}
+        config.write_bytes(b"M = 16\n\xff\n")
+        assert main(["verify", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: cannot read config file {str(config)!r}: 'utf-8' codec can't "
+            "decode byte 0xff in position 7: invalid start byte\n"
+        ))
+
     def test_config_line_without_equals_exit_two(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("tones\n")
@@ -721,38 +734,45 @@ class TestOutCheckedFirst:
         assert kept.read_text() == "earlier results\n"
 
 
+# Each refused config and the start of its message, up to the refused
+# value, whose repr differs between numpy versions.
+REJECTED_CONFIGS = [
+    (dict(M=8), "M must be one of (4, 16, 64, 256), got"),
+    (dict(n_rx=1), "need at least 2 receive antennas, got"),
+    (dict(n_rx=np.float64(2.0)), "n_rx must be an integer, got"),
+    (dict(tones=0), "tones must be at least 1, got"),
+    (dict(rho=1.0), "rho must lie in [0, 1), got"),
+    (dict(rho=-0.1), "rho must lie in [0, 1), got"),
+    (dict(mu_list=(-1.0,)), "mu (--mu) values must be finite and nonnegative, got"),
+    (dict(mu_list=(np.inf,)), "mu (--mu) values must be finite and nonnegative, got"),
+    (dict(mu_list=(0.0, np.nan)), "mu (--mu) values must be finite and nonnegative, got"),
+    (dict(snr_db_list=()), "snr_db and mu lists must be non-empty"),
+    (dict(snr_db_list=(np.nan,)), "snr_db (--snr-db) values must lie in [-100, 300] dB, got"),
+    (dict(snr_db_list=(10.0, -np.inf)), "snr_db (--snr-db) values must lie in [-100, 300] dB, got"),
+    (dict(seed=-1), "seed must be nonnegative, got"),
+    (dict(rho=False), "rho must be a real number, got"),
+    (dict(rho="0.5"), "rho must be a real number, got"),
+    (dict(rho=None), "rho must be a real number, got"),
+    (dict(snr_db_list=[10.0]), "snr_db_list must be a tuple of real numbers, got"),
+    (dict(snr_db_list=("10",)), "snr_db_list must be a tuple of real numbers, got"),
+    (dict(snr_db_list=(True,)), "snr_db_list must be a tuple of real numbers, got"),
+    (dict(mu_list=(True,)), "mu_list must be a tuple of real numbers, got"),
+    (dict(mu_list=np.array([1.0])), "mu_list must be a tuple of real numbers, got"),
+    (dict(mu_list=(0.0, None)), "mu_list must be a tuple of real numbers, got"),
+    (dict(verify_first="false"), "verify_first must be a bool, got"),
+    (dict(verify_first=1), "verify_first must be a bool, got"),
+]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(M=8),
-            dict(n_rx=1),
-            dict(n_rx=np.float64(2.0)),
-            dict(tones=0),
-            dict(rho=1.0),
-            dict(rho=-0.1),
-            dict(mu_list=(-1.0,)),
-            dict(mu_list=(np.inf,)),
-            dict(mu_list=(0.0, np.nan)),
-            dict(snr_db_list=()),
-            dict(snr_db_list=(np.nan,)),
-            dict(snr_db_list=(10.0, -np.inf)),
-            dict(seed=-1),
-            dict(rho=False),
-            dict(rho="0.5"),
-            dict(rho=None),
-            dict(snr_db_list=[10.0]),
-            dict(snr_db_list=("10",)),
-            dict(snr_db_list=(True,)),
-            dict(mu_list=(True,)),
-            dict(mu_list=np.array([1.0])),
-            dict(mu_list=(0.0, None)),
-            dict(verify_first="false"),
-            dict(verify_first=1),
-        ],
+        "overrides, message",
+        REJECTED_CONFIGS,
+        ids=[f"overrides{i}" for i in range(len(REJECTED_CONFIGS))],
     )
-    def test_rejected(self, overrides):
-        with pytest.raises(UsageError):
+    def test_rejected(self, overrides, message):
+        """Each config is refused by the check that names its field."""
+        with pytest.raises(UsageError, match="^" + re.escape(message)):
             small_config(**overrides)
 
     @pytest.mark.parametrize("name, value", [("tones", 0), ("M", 64), ("mu_list", (1.0,))])
@@ -820,6 +840,51 @@ class TestSnrRange:
         config.write_text(f"snr_db = {snr}\n")
         assert main(["simulate", "--tones", "2", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("error: snr_db (--snr-db)")
+
+
+class TestUnfactorableNoise:
+    """A noise covariance that cannot be factored is a usage error named
+    before any tone is drawn, not a traceback with exit status 1."""
+
+    NEAR_ONE = ["--nr", "16", "--rho", "0.9999999999999999"]
+    COMMANDS = [
+        ["verify", "--tones", "1"],
+        ["simulate", "--tones", "1"],
+        ["regions", "--M", "4", "--llr", "0,0,0,0"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_rho_near_one_exit_two(self, argv, capsys):
+        """At rho = 1 - 2^-53 and 16 antennas, rounding leaves the
+        covariance not positive definite at every SNR tried."""
+        assert main([*argv, *self.NEAR_ONE]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(
+            "error: cannot factor the noise covariance at rho=0.9999999999999999, "
+            "n_rx=16, snr_db=10.0: "
+        )
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_factorization_error_named(self, argv, error, monkeypatch, capsys):
+        """The message names rho, the antenna count and the SNR, keeps the
+        factorization's own text, and no tone stream is opened."""
+        import sisodet.channel
+        import sisodet.simcli as cli
+
+        def failing(Q):
+            raise error("pivot 1 is -1")
+
+        streams = []
+        monkeypatch.setattr(sisodet.channel, "cholesky_factor", failing)
+        monkeypatch.setattr(cli, "tone_rng", lambda *key: streams.append(key))
+        assert main([*argv, "--nr", "3", "--rho", "0.25", "--snr-db", "-5"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: cannot factor the noise covariance at rho=0.25, n_rx=3, "
+            "snr_db=-5.0: pivot 1 is -1\n"
+        ))
+        assert streams == []
 
 
 class TestDrawTone:

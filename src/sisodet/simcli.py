@@ -136,8 +136,9 @@ class SimConfig:
                 is so close to 1 that rounding leaves it not positive
                 definite; names ``rho``, the antenna count and the SNR.
         """
+        covariance = noise_covariance(sigma2_from_snr_db(snr_db), self.rho, self.n_rx)
         try:
-            return NoiseModel(noise_covariance(sigma2_from_snr_db(snr_db), self.rho, self.n_rx))
+            return NoiseModel(covariance)
         except (ValueError, np.linalg.LinAlgError) as err:
             raise UsageError(
                 f"cannot factor the noise covariance at rho={float(self.rho)!r}, "
